@@ -19,7 +19,6 @@ from .examples_sets import (
     RepresentationCounts,
     fit_mesh_exponent,
     generate,
-    indicator_power,
     mesh_counts,
     r_alpha,
 )
@@ -51,15 +50,12 @@ from .orlicz import (
 )
 from .quasi import (
     DEFAULT_BUDGET,
-    BourgainResult,
     PartitionResult,
     QiSearchResult,
     as_freqset,
-    bourgain_extract,
     is_quasi_independent,
     max_quasi_independent,
     partition_lemma,
-    q_lower_bounds,
 )
 from .sampler import (
     DRIVER_KINDS,
@@ -76,20 +72,16 @@ from .stable_norm import (
     NormEstimate,
     estimate_bracket,
     median_of_means,
-    mp_tail_bound,
     sz_lower,
     zero_one_upper,
 )
 from .trigpoly import (
-    LevelSetDecomposition,
     TrigPolynomial,
     default_grid_size,
     evaluate_grid,
     fq_norm,
-    level_sets,
     lorentz_norms,
     lq_function_norm,
-    multiply,
     sup_norm,
     sup_norm_rows,
 )
@@ -110,7 +102,6 @@ __all__ = [
     "invert_for_p",
     "orlicz_params",
     "TrigPolynomial",
-    "LevelSetDecomposition",
     "default_grid_size",
     "evaluate_grid",
     "fq_norm",
@@ -118,8 +109,6 @@ __all__ = [
     "sup_norm",
     "sup_norm_rows",
     "lq_function_norm",
-    "multiply",
-    "level_sets",
     "FAMILIES",
     "OrliczFunction",
     "luxemburg_norm",
@@ -138,26 +127,21 @@ __all__ = [
     "NormEstimate",
     "median_of_means",
     "estimate_bracket",
-    "mp_tail_bound",
     "zero_one_upper",
     "sz_lower",
     "DEFAULT_BUDGET",
     "QiSearchResult",
     "PartitionResult",
-    "BourgainResult",
     "as_freqset",
     "is_quasi_independent",
     "max_quasi_independent",
     "partition_lemma",
-    "bourgain_extract",
-    "q_lower_bounds",
     "GENERATOR_KINDS",
     "RepresentationCounts",
     "generate",
     "mesh_counts",
     "fit_mesh_exponent",
     "r_alpha",
-    "indicator_power",
     "EXPERIMENT_IDS",
     "CheckResult",
     "ExperimentReport",

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError, FitError, ResourceLimitError
 from .quasi import as_freqset
 from .sampler import make_rng, resolve_seed
-from .trigpoly import TrigPolynomial, multiply
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -27,7 +26,6 @@ __all__ = [
     "mesh_counts",
     "fit_mesh_exponent",
     "r_alpha",
-    "indicator_power",
 ]
 
 GENERATOR_KINDS = ("squares", "powers", "sums_of_powers", "interval", "random")
@@ -193,15 +191,3 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
         alpha=alpha, counts=tuple(int(x) for x in counts), mean_square=mean_square
     )
 
-
-def indicator_power(freqs, alpha: int) -> TrigPolynomial:
-    """The alpha-th power of the indicator polynomial, by repeated multiply.
-
-    Cross-check path for r_alpha: the coefficient at frequency j equals
-    counts[j].
-    """
-    f = TrigPolynomial.indicator(as_freqset(freqs))
-    out = f
-    for _ in range(int(alpha) - 1):
-        out = multiply(out, f)
-    return out

@@ -16,6 +16,7 @@ section that emit_report omits by default.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -72,25 +73,28 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-def _band(values) -> float:
-    """max/min of a family of positive ratios; inf when degenerate."""
-    vals = [v for v in values]
-    lo, hi = min(vals), max(vals)
-    if lo <= 0:
-        return math.inf
-    return hi / lo
+def _require(values: list, name: str, cfg: dict, keys: tuple) -> None:
+    if not values:
+        got = ", ".join(f"{k}={cfg[k]!r}" for k in keys)
+        raise DomainError(f"{name} needs at least one instance; config has {got}")
 
 
-class _Streams:
-    """Sequential stream-id allocator; allocation order is code order."""
+def _band_check(name: str, ratios: list, cfg: dict, keys: tuple, fitted=max) -> CheckResult:
+    """Passes when max/min of the positive ratios is within cfg["band"].
 
-    def __init__(self, base: int):
-        self._next = base
+    The statistic is inf when some ratio is not positive; the fitted
+    constant is fitted(ratios).  An empty ratio list is a config error
+    naming the keys that sized it.
+    """
+    _require(ratios, name, cfg, keys)
+    lo, hi = min(ratios), max(ratios)
+    band = math.inf if lo <= 0 else hi / lo
+    return CheckResult(name, band, fitted(ratios), band <= float(cfg["band"]))
 
-    def take(self) -> int:
-        out = self._next
-        self._next += 1
-        return out
+
+def _lacunary(n: int) -> list:
+    """The geometric spectrum {2, 4, ..., 2^n}."""
+    return [2**j for j in range(1, n + 1)]
 
 
 def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
@@ -100,16 +104,16 @@ def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
 # --- E1: characteristic-function fidelity -----------------------------------
 
 
-def _run_e1(cfg: dict, streams: _Streams) -> list:
+def _run_e1(cfg: dict, streams: itertools.count) -> list:
     n = int(cfg["n"])
     tol = 4.0 / math.sqrt(n)
     ring = [complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)]
     checks = []
     for p in cfg["ps"]:
         p = float(p)
-        d = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=streams.take())
+        d = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=next(streams))
         z1 = sample_driver(d, n, trial_index=0)
-        d2 = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=streams.take())
+        d2 = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=next(streams))
         z2 = sample_driver(d2, n, trial_index=0)
 
         def emp_cf(z: complex, samples: np.ndarray) -> complex:
@@ -142,7 +146,7 @@ def _random_poly(rng: np.random.Generator, max_freq: int, size_lo: int, size_hi:
 # --- E2: comparison principle across p ----------------------------------------
 
 
-def _run_e2(cfg: dict, streams: _Streams) -> list:
+def _run_e2(cfg: dict, streams: itertools.count) -> list:
     p1, p2 = float(cfg["p1"]), float(cfg["p2"])
     if not p1 < p2:
         raise DomainError(f"need p1 < p2, got {p1}, {p2}")
@@ -150,15 +154,16 @@ def _run_e2(cfg: dict, streams: _Streams) -> list:
     checks = []
     ratios = []
     for i in range(int(cfg["suite_size"])):
-        rng = make_rng(cfg["seed"], streams.take())
+        rng = make_rng(cfg["seed"], next(streams))
         f = _random_poly(rng, 200, 4, 12)
-        e1 = estimate_bracket(f, _stable_driver(p1, cfg["seed"], streams.take()), trials)
-        e2 = estimate_bracket(f, _stable_driver(p2, cfg["seed"], streams.take()), trials)
+        e1 = estimate_bracket(f, _stable_driver(p1, cfg["seed"], next(streams)), trials)
+        e2 = estimate_bracket(f, _stable_driver(p2, cfg["seed"], next(streams)), trials)
         bound = 3.0 * e1.value + 5.0 * e1.spread
         ratios.append(e2.value / e1.value)
         checks.append(
             CheckResult(f"pairwise_{i}", e2.value / bound, e2.value / e1.value, e2.value <= bound)
         )
+    _require(ratios, "median_ratio", cfg, ("suite_size",))
     med = float(np.median(ratios))
     checks.append(CheckResult("median_ratio", med, med, med <= float(cfg["median_cap"])))
     return checks
@@ -167,13 +172,13 @@ def _run_e2(cfg: dict, streams: _Streams) -> list:
 # --- E3: lower p-estimate over disjoint-spectrum sums --------------------------
 
 
-def _run_e3(cfg: dict, streams: _Streams) -> list:
+def _run_e3(cfg: dict, streams: itertools.count) -> list:
     p = float(cfg["p"])
     trials = int(cfg["trials"])
     checks = []
     ratios = []
     for i in range(int(cfg["instances"])):
-        rng = make_rng(cfg["seed"], streams.take())
+        rng = make_rng(cfg["seed"], next(streams))
         n_blocks = int(rng.integers(2, 5))
         terms: dict = {}
         block_polys = []
@@ -188,28 +193,27 @@ def _run_e3(cfg: dict, streams: _Streams) -> list:
         whole = TrigPolynomial(terms)
         part_sum = 0.0
         for fj in block_polys:
-            est = estimate_bracket(fj, _stable_driver(p, cfg["seed"], streams.take()), trials)
+            est = estimate_bracket(fj, _stable_driver(p, cfg["seed"], next(streams)), trials)
             part_sum += est.value**p
-        whole_est = estimate_bracket(whole, _stable_driver(p, cfg["seed"], streams.take()), trials)
+        whole_est = estimate_bracket(whole, _stable_driver(p, cfg["seed"], next(streams)), trials)
         ratio = part_sum ** (1.0 / p) / whole_est.value
         ratios.append(ratio)
         checks.append(CheckResult(f"instance_{i}", ratio, ratio, ratio > 0))
-    band = _band(ratios)
-    checks.append(CheckResult("ratio_band", band, max(ratios), band <= float(cfg["band"])))
+    checks.append(_band_check("ratio_band", ratios, cfg, ("instances",)))
     return checks
 
 
 # --- E4: contraction principle -------------------------------------------------
 
 
-def _run_e4(cfg: dict, streams: _Streams) -> list:
+def _run_e4(cfg: dict, streams: itertools.count) -> list:
     p = float(cfg["p"])
     trials = int(cfg["trials"])
     checks = []
     for i in range(int(cfg["suite_size"])):
-        rng = make_rng(cfg["seed"], streams.take())
+        rng = make_rng(cfg["seed"], next(streams))
         f = _random_poly(rng, 200, 4, 12)
-        stream = streams.take()
+        stream = next(streams)
         base = estimate_bracket(f, _stable_driver(p, cfg["seed"], stream), trials)
         cap = 1.0 + 5.0 * base.spread / base.value
         n = len(f)
@@ -242,7 +246,7 @@ def _run_e4(cfg: dict, streams: _Streams) -> list:
 # ones, so the lacunary rows do not depend on the interval half.
 
 
-def _run_e5(cfg: dict, streams: _Streams) -> list:
+def _run_e5(cfg: dict, streams: itertools.count) -> list:
     p = float(cfg["p"])
     trials = int(cfg["trials"])
     ns = range(int(cfg["n_min"]), int(cfg["n_max"]) + 1)
@@ -250,9 +254,8 @@ def _run_e5(cfg: dict, streams: _Streams) -> list:
     interval_ratios = []
     checks = []
     for n in ns:
-        A = [2**j for j in range(1, n + 1)]
-        f = TrigPolynomial.indicator(A)
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], streams.take()), trials)
+        f = TrigPolynomial.indicator(_lacunary(n))
+        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
         up = zero_one_upper(n, 2**n, p)
         lo = sz_lower(f, p)
         upper_ratios.append(est.value / up)
@@ -260,21 +263,20 @@ def _run_e5(cfg: dict, streams: _Streams) -> list:
         checks.append(CheckResult(f"lower_ratio_n{n}", est.value / lo, lo, True))
     for n in ns:
         f = TrigPolynomial.indicator(range(1, 2**n + 1))
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], streams.take()), trials)
+        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
         lo = sz_lower(f, p)
         interval_ratios.append(est.value / lo)
         checks.append(CheckResult(f"interval_lower_ratio_n{n}", est.value / lo, lo, True))
-    ub = _band(upper_ratios)
-    lb = _band(interval_ratios)
-    checks.append(CheckResult("upper_band", ub, max(upper_ratios), ub <= float(cfg["band"])))
-    checks.append(CheckResult("lower_band", lb, min(interval_ratios), lb <= float(cfg["band"])))
+    keys = ("n_min", "n_max")
+    checks.append(_band_check("upper_band", upper_ratios, cfg, keys))
+    checks.append(_band_check("lower_band", interval_ratios, cfg, keys, fitted=min))
     return checks
 
 
 # --- E6: sandwich probe between bracket norm and q(A) ---------------------------
 
 
-def _run_e6(cfg: dict, streams: _Streams) -> list:
+def _run_e6(cfg: dict, streams: itertools.count) -> list:
     p = float(cfg["p"])
     p_conj = conjugate(p)
     trials = int(cfg["trials"])
@@ -282,25 +284,24 @@ def _run_e6(cfg: dict, streams: _Streams) -> list:
     checks = []
     ratios = []
     for i in range(int(cfg["instances"])):
-        rng = make_rng(cfg["seed"], streams.take())
+        rng = make_rng(cfg["seed"], next(streams))
         size = int(rng.integers(4, 13))
         A = sorted(int(g) for g in rng.choice(universe, size=size, replace=False))
         qres = max_quasi_independent(A)
         f = TrigPolynomial.indicator(A)
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], streams.take()), trials)
+        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
         comparator = (est.value / size ** (1.0 / p)) ** p_conj
         ratio = qres.q_value / comparator
         ratios.append(ratio)
         checks.append(CheckResult(f"probe_instance_{i}", ratio, comparator, qres.exact))
-    band = _band(ratios)
-    checks.append(CheckResult("probe_ratio_band", band, max(ratios), band <= float(cfg["band"])))
+    checks.append(_band_check("probe_ratio_band", ratios, cfg, ("instances",)))
     return checks
 
 
 # --- E7: mesh growth tables -----------------------------------------------------
 
 
-def _run_e7(cfg: dict, streams: _Streams) -> list:
+def _run_e7(cfg: dict, streams: itertools.count) -> list:
     pts = [int(N) for N in cfg["checkpoints"]]
     checks = []
     squares = generate("squares", pts[-1])
@@ -330,7 +331,7 @@ def _run_e7(cfg: dict, streams: _Streams) -> list:
 # --- E8: partition_lemma postconditions ------------------------------------------
 
 
-def _e8_instances(cfg: dict, streams: _Streams) -> list:
+def _e8_instances(cfg: dict, streams: itertools.count) -> list:
     out = []
     for m in (12, 13, 14, 15, 16):
         out.append((generate("powers", 2**m, base=2), 1.0, 0.5))
@@ -342,7 +343,7 @@ def _e8_instances(cfg: dict, streams: _Streams) -> list:
     out.append((mixed, 1.0, 0.5))
     out.append((tuple(5 * g for g in mixed), 1.0, 0.5))
     for _ in range(4):
-        rng = make_rng(cfg["seed"], streams.take())
+        rng = make_rng(cfg["seed"], next(streams))
         # 12 elements keep the exact branch-and-bound extraction cheap
         A = sorted(int(g) for g in rng.choice(np.arange(1, 100_001), size=12, replace=False))
         out.append((tuple(A), 1.0, 0.5))
@@ -351,7 +352,7 @@ def _e8_instances(cfg: dict, streams: _Streams) -> list:
     return out
 
 
-def _run_e8(cfg: dict, streams: _Streams) -> list:
+def _run_e8(cfg: dict, streams: itertools.count) -> list:
     checks = []
     for i, (A, c, eps) in enumerate(_e8_instances(cfg, streams)):
         res = partition_lemma(A, c, eps)
@@ -374,7 +375,7 @@ def _run_e8(cfg: dict, streams: _Streams) -> list:
 # --- E9: Lorentz sequence norm against the bracket norm --------------------------
 
 
-def _run_e9(cfg: dict, streams: _Streams) -> list:
+def _run_e9(cfg: dict, streams: itertools.count) -> list:
     p = float(cfg["p"])
     s = float(cfg["s"])
     q = invert_for_q(p, s)
@@ -382,42 +383,38 @@ def _run_e9(cfg: dict, streams: _Streams) -> list:
     checks = []
     ratios = []
     for n in range(int(cfg["size_min"]), int(cfg["size_max"]) + 1):
-        A = [2**j for j in range(1, n + 1)]
-        f = TrigPolynomial.indicator(A)
+        f = TrigPolynomial.indicator(_lacunary(n))
         l_q1, _ = lorentz_norms(f, q)
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], streams.take()), trials)
+        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
         ratio = l_q1 / est.value
         ratios.append(ratio)
         checks.append(CheckResult(f"lorentz_ratio_n{n}", ratio, l_q1, True))
-    band = _band(ratios)
-    checks.append(CheckResult("lorentz_band", band, max(ratios), band <= float(cfg["band"])))
+    checks.append(_band_check("lorentz_band", ratios, cfg, ("size_min", "size_max")))
     return checks
 
 
 # --- E10: Orlicz set-functional growth band --------------------------------------
 
 
-def _run_e10(cfg: dict, streams: _Streams) -> list:
+def _run_e10(cfg: dict, streams: itertools.count) -> list:
     p, q = float(cfg["p"]), float(cfg["q"])
     table = derive_exponents(p, q)
     r = table.p_conj
     checks = []
     ratios = []
     for n in range(int(cfg["size_min"]), int(cfg["size_max"]) + 1):
-        A = [2**j for j in range(1, n + 1)]
-        psi = psi_set_norm(A, r)
+        psi = psi_set_norm(_lacunary(n), r)
         ratio = psi / n ** (1.0 / table.alpha)
         ratios.append(ratio)
         checks.append(CheckResult(f"psi_ratio_n{n}", ratio, psi, True))
-    band = _band(ratios)
-    checks.append(CheckResult("psi_band", band, max(ratios), band <= float(cfg["band"])))
+    checks.append(_band_check("psi_band", ratios, cfg, ("size_min", "size_max")))
     return checks
 
 
 # --- E11: representation-count band ----------------------------------------------
 
 
-def _run_e11(cfg: dict, streams: _Streams) -> list:
+def _run_e11(cfg: dict, streams: itertools.count) -> list:
     alpha = int(cfg["alpha"])
     p = float(cfg["p"])
     growth = (2.0 - p) / (p - 1.0)
@@ -431,6 +428,7 @@ def _run_e11(cfg: dict, streams: _Streams) -> list:
         ratio = rc.mean_square / (n**growth * math.log(n) ** (2 * alpha))
         ratios.append(ratio)
         checks.append(CheckResult(f"ralpha_ratio_k{k}", ratio, rc.mean_square, total_ok))
+    _require(ratios, "ralpha_band", cfg, ("k_min", "k_max"))
     grow = max(ratios) / ratios[0]
     checks.append(CheckResult("ralpha_band", grow, max(ratios), grow <= float(cfg["band"])))
     k = int(cfg["k_max"])
@@ -507,7 +505,7 @@ def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
             raise DomainError(f"unknown config key {key!r} for {exp_id}")
         cfg[key] = val
     cfg["seed"] = int(cfg["seed"])
-    streams = _Streams(1000 * (EXPERIMENT_IDS.index(exp_id) + 1))
+    streams = itertools.count(1000 * (EXPERIMENT_IDS.index(exp_id) + 1))
     start = time.perf_counter()
     checks = _RUNNERS[exp_id](cfg, streams)
     runtime_ms = (time.perf_counter() - start) * 1000.0

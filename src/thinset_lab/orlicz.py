@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .trigpoly import TrigPolynomial, default_grid_size, evaluate_grid
+from .trigpoly import TrigPolynomial, _grid_abs, default_grid_size
 
 __all__ = [
     "FAMILIES",
@@ -107,15 +107,12 @@ def luxemburg_norm(f: TrigPolynomial, phi: OrliczFunction, M: int | None = None)
     if len(f) == 0:
         return 0.0
     if M is not None:
-        M = int(M)
-        if M < 16 * (f.degree + 1):
-            raise DomainError(f"need M >= 16*(degree+1) = {16 * (f.degree + 1)}, got {M}")
-        return _luxemburg_of_samples(np.abs(evaluate_grid(f, M)), phi)
+        return _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
     M = default_grid_size(f.degree)
-    prev = _luxemburg_of_samples(np.abs(evaluate_grid(f, M)), phi)
+    prev = _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
     while M < _ADAPTIVE_GRID_CAP:
         M *= 2
-        cur = _luxemburg_of_samples(np.abs(evaluate_grid(f, M)), phi)
+        cur = _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
         if abs(cur - prev) <= _ADAPTIVE_REL_TOL * max(cur, prev):
             return cur
         prev = cur
@@ -141,13 +138,7 @@ def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) 
         raise DomainError(f"need p_conj > 0, got {p_conj}")
     if len(f) == 0:
         return 0.0
-    if M is None:
-        M = default_grid_size(f.degree)
-    else:
-        M = int(M)
-        if M < 16 * (f.degree + 1):
-            raise DomainError(f"need M >= 16*(degree+1) = {16 * (f.degree + 1)}, got {M}")
-    a = np.abs(evaluate_grid(f, M))
+    a = _grid_abs(f, M, 16)
     return float(np.mean(a * (1.0 + np.log1p(a)) ** (1.0 / p_conj)))
 
 

@@ -15,9 +15,7 @@ gamma can extend the set exactly when gamma is not an achievable sum, and
 
 partition_lemma repeatedly extracts a maximum (or greedy, above the
 exact-size cap) quasi-independent subset from the remainder, trims it
-into the target size window, and stops once the union covers half of A.  bourgain_extract is a desk-scale verifier that searches
-exhaustively for large quasi-independent-union subsets of disjoint blocks;
-it is not a general algorithm.
+into the target size window, and stops once the union covers half of A.
 
 Frequency sets are plain sorted tuples of distinct Python ints throughout.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -35,13 +32,10 @@ from .errors import DomainError, ExtractionError, ResourceLimitError
 __all__ = [
     "QiSearchResult",
     "PartitionResult",
-    "BourgainResult",
     "as_freqset",
     "is_quasi_independent",
     "max_quasi_independent",
     "partition_lemma",
-    "bourgain_extract",
-    "q_lower_bounds",
     "DEFAULT_BUDGET",
 ]
 
@@ -112,23 +106,6 @@ class PartitionResult:
             "modes": list(self.modes),
             "window": list(self.window),
             "covered": self.covered,
-        }
-
-
-@dataclass(frozen=True)
-class BourgainResult:
-    """Outcome of bourgain_extract: the thinned blocks, if any choice of
-    subsets with quasi-independent union exists at the required sizes."""
-
-    found: bool
-    subsets: tuple
-    combos_checked: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "found": self.found,
-            "subsets": [list(c) for c in self.subsets],
-            "combos_checked": self.combos_checked,
         }
 
 
@@ -356,81 +333,3 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
         covered=covered,
     )
 
-
-def bourgain_extract(Bs, ratio_check: float = 1.0) -> BourgainResult:
-    """Exhaustive search for C_l subset of B_l with quasi-independent union.
-
-    Requires pairwise disjoint quasi-independent blocks whose sizes grow
-    at least by ratio_check, with at most 20 elements in total.  Each C_l
-    must keep at least a tenth of its block (so 1 or 2 elements at this
-    scale); candidate subsets are tried largest first, making the single
-    block case return the block itself.  Desk-scale verifier only.
-    """
-    blocks = [as_freqset(B) for B in Bs]
-    if not blocks:
-        raise DomainError("bourgain_extract needs at least one block")
-    total = sum(len(b) for b in blocks)
-    if total > 20:
-        raise ResourceLimitError(f"bourgain_extract caps total size at 20, got {total}")
-    seen: set = set()
-    for b in blocks:
-        if not b:
-            raise DomainError("empty block")
-        if seen & set(b):
-            raise DomainError("blocks must be pairwise disjoint")
-        seen |= set(b)
-        ok, _ = is_quasi_independent(b)
-        if not ok:
-            raise DomainError(f"block {b} is not quasi-independent")
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if len(nxt) / len(prev) < float(ratio_check):
-            raise DomainError("block sizes must grow by at least ratio_check")
-
-    mins = [max(1, math.ceil(len(b) / 10)) for b in blocks]
-    combos = 0
-
-    def search(level: int, picked: list) -> tuple | None:
-        nonlocal combos
-        if level == len(blocks):
-            combos += 1
-            union = [g for c in picked for g in c]
-            ok, _ = is_quasi_independent(union)
-            return tuple(picked) if ok else None
-        b = blocks[level]
-        for size in range(len(b), mins[level] - 1, -1):
-            for sub in combinations(b, size):
-                got = search(level + 1, picked + [sub])
-                if got is not None:
-                    return got
-        return None
-
-    found = search(0, [])
-    if found is None:
-        return BourgainResult(found=False, subsets=(), combos_checked=combos)
-    return BourgainResult(found=True, subsets=found, combos_checked=combos)
-
-
-def q_lower_bounds(A, p: float, r: float, bracket, psi_val: float) -> tuple:
-    """Constant-free comparators under q(A).
-
-    Returns ((|A|/psi_val)^r, (bracket_value/|A|^(1/p))^(p')).  bracket may
-    be a NormEstimate or a plain value.
-    """
-    A = as_freqset(A)
-    if not A:
-        raise DomainError("q_lower_bounds needs a nonempty set")
-    p = float(p)
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"need 1 < p <= 2, got p={p}")
-    r = float(r)
-    if not r > 0.0:
-        raise DomainError(f"need r > 0, got r={r}")
-    psi_val = float(psi_val)
-    if psi_val <= 0.0:
-        raise DomainError(f"need psi_val > 0, got {psi_val}")
-    value = float(getattr(bracket, "value", bracket))
-    n = len(A)
-    p_conj = p / (p - 1.0)
-    via_psi = (n / psi_val) ** r
-    via_stable = (value / n ** (1.0 / p)) ** p_conj
-    return (via_psi, via_stable)

@@ -8,14 +8,13 @@ median-of-means; Rademacher and Gaussian trials use the plain mean.  The
 spread field (interquartile range of group means) scales the tolerance
 bands used by the experiment suites.
 
-The deterministic comparators carry unit constants: a coefficient-tail
-upper bound for positive spectra, the counting upper bound for 0-1
-spectra, and the lower comparator sz_lower.  On a 0-1 spectrum of n
-terms in {1..N}, sz_lower is the counting bound times (n/N)^(1/p'): the
-two match on the interval {1..N}, where both sides of
-E||sum Z_k e_k||_inf ~ N^(1/p) (log N)^(1/p') hold, and sz_lower is only
-a lower bound on sparser spectra.  All downstream checks are ratio bands,
-never absolute thresholds.
+The deterministic comparators carry unit constants: the counting upper
+bound zero_one_upper for 0-1 spectra and the lower comparator sz_lower.
+On a 0-1 spectrum of n terms in {1..N}, sz_lower is the counting bound
+times (n/N)^(1/p'): the two match on the interval {1..N}, where both sides
+of E||sum Z_k e_k||_inf ~ N^(1/p) (log N)^(1/p') hold, and sz_lower is
+only a lower bound on sparser spectra.  All downstream checks are ratio
+bands, never absolute thresholds.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "NormEstimate",
     "estimate_bracket",
     "median_of_means",
-    "mp_tail_bound",
     "zero_one_upper",
     "sz_lower",
     "SUP_REL_TOL",
@@ -147,30 +145,6 @@ def _check_p(p: float) -> float:
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"need 1 <= p <= 2, got p={p}")
     return p
-
-
-def mp_tail_bound(f: TrigPolynomial, p: float) -> float:
-    """Coefficient-tail upper bound with unit constant.
-
-    sum_{k=2}^{K} (k (log k)^(1/p))^(-1) * (sum_{j >= k} |c_j|^p)^(1/p)
-    with K the largest frequency.  The spectrum must consist of positive
-    integers; tail sums vanish beyond K, so the sum is finite.
-    """
-    p = _check_p(p)
-    if len(f) == 0:
-        return 0.0
-    if f.freqs[0] < 1:
-        raise DomainError("mp_tail_bound needs a spectrum of positive integers")
-    pf = f.freqs
-    pa = np.abs(f.coeffs) ** p
-    kmax = int(pf[-1])
-    if kmax < 2:
-        return 0.0
-    suffix = np.concatenate([np.cumsum(pa[::-1])[::-1], [0.0]])
-    ks = np.arange(2, kmax + 1, dtype=np.int64)
-    tails = suffix[np.searchsorted(pf, ks, side="left")]
-    terms = tails ** (1.0 / p) / (ks * np.log(ks) ** (1.0 / p))
-    return float(terms.sum())
 
 
 def zero_one_upper(n: int, lambda_max: int, p: float) -> float:

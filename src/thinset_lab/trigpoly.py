@@ -2,36 +2,35 @@
 
 A polynomial is a finite sum f(t) = sum_g c_g exp(i g t) with nonzero complex
 coefficients keyed by signed 64-bit frequencies.  The module provides the
-coefficient-side norms (l_q, Lorentz), grid evaluation (direct and FFT paths),
-a certified sup-norm estimator, L^q function norms by quadrature,
-coefficient-convolution multiplication, and the dyadic level-set
-decomposition with its index-selection rule.
+coefficient-side norms (l_q, Lorentz), grid evaluation (FFT when the
+spectrum fits the grid, a chunked termwise sum otherwise), a certified
+sup-norm estimator, and L^q function norms by quadrature.  Every dense grid
+is checked against a byte cap before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "TrigPolynomial",
-    "LevelSetDecomposition",
     "fq_norm",
     "lorentz_norms",
     "evaluate_grid",
     "sup_norm",
     "sup_norm_rows",
     "lq_function_norm",
-    "multiply",
-    "level_sets",
     "default_grid_size",
 ]
 
 _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay exact
+# bytes of one complex M-point grid row; 2^28 allows M = 2^24, eight times
+# the 2^21-point grid of a degree-2^16 polynomial
+_GRID_BYTES_CAP = 1 << 28
 
 
 class TrigPolynomial:
@@ -119,11 +118,6 @@ class TrigPolynomial:
     def __hash__(self):
         return hash((self._freqs.tobytes(), self._coeffs.tobytes()))
 
-    def __mul__(self, other):
-        if isinstance(other, TrigPolynomial):
-            return multiply(self, other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"TrigPolynomial({self.terms()!r})"
 
@@ -142,23 +136,6 @@ class TrigPolynomial:
             g, re, im = row
             pairs.append((int(g), complex(float(re), float(im))))
         return cls(pairs)
-
-
-@dataclass(frozen=True)
-class LevelSetDecomposition:
-    """Dyadic coefficient level sets and the ratio-driven index selection.
-
-    levels: (j, frequencies) for every nonempty level, increasing j, where
-    level j holds gamma with 2^{-j+1} >= |c_gamma|/max|c| > 2^{-j}.
-    selected_indices: j_1 < ... < j_L with j_1 the first level and j_{l+1}
-    the least j > j_l whose level is more than ``ratio`` times bigger.
-    sizes: the selected levels' cardinalities.
-    """
-
-    levels: tuple
-    selected_indices: tuple
-    ratio: float
-    sizes: tuple
 
 
 def default_grid_size(degree: int) -> int:
@@ -201,54 +178,70 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
     return (l_q1, l_qinf)
 
 
-def evaluate_grid(f: TrigPolynomial, M: int, method: str = "auto") -> np.ndarray:
+def _check_grid_bytes(M: int) -> None:
+    if 16 * M > _GRID_BYTES_CAP:
+        raise ResourceLimitError(
+            f"a {M}-point grid needs {16 * M} bytes per row, over the cap of {_GRID_BYTES_CAP}"
+        )
+
+
+def evaluate_grid(f: TrigPolynomial, M: int) -> np.ndarray:
     """Values f(t_k) at t_k = 2 pi k / M, k = 0..M-1.
 
-    method "fft" requires all frequencies in [-M/2, M/2); "direct" sums
-    termwise; "auto" picks the FFT path whenever it applies.  Both paths
-    agree to 1e-9 absolute.
+    Takes the FFT when every frequency lies in [-M/2, M/2) and sums
+    termwise otherwise; the two paths agree to 1e-9 absolute.  Raises
+    ResourceLimitError before allocating a grid over the byte cap.
     """
     M = int(M)
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
+    _check_grid_bytes(M)
     if len(f) == 0:
         return np.zeros(M, dtype=np.complex128)
-    freqs = f.freqs
-    fits = bool(freqs[0] >= -(M // 2) and freqs[-1] < (M + 1) // 2)
-    if method == "auto":
-        method = "fft" if fits else "direct"
-    if method == "fft":
-        if not fits:
-            raise DomainError("frequencies do not fit in [-M/2, M/2) for the FFT path")
-        spread = np.zeros((1, M), dtype=np.complex128)
-        _scatter_rows(spread, freqs, f.coeffs[None, :], M)
-        return (np.fft.ifft(spread[0]) * M).astype(np.complex128)
-    if method != "direct":
-        raise DomainError(f"unknown evaluation method {method!r}")
+    freqs, rows = f.freqs, f.coeffs[None, :]
+    if freqs[0] >= -(M // 2) and freqs[-1] < (M + 1) // 2:
+        return _fft_values(freqs, rows, M)[0] * M
     t = 2.0 * np.pi * np.arange(M) / M
-    out = np.empty(M, dtype=np.complex128)
-    chunk = max(1, (1 << 21) // max(1, len(f)))
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        out[lo:hi] = np.exp(1j * np.outer(t[lo:hi], freqs)) @ f.coeffs
-    return out
+    return _direct_values(freqs, rows, np.zeros(M, dtype=np.intp), t)
 
 
-def _scatter_rows(buf: np.ndarray, freqs: np.ndarray, rows: np.ndarray, M: int) -> None:
+def _fft_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+    """numpy's ifft of each row scattered onto M points: f_row(2 pi k / M) / M.
+
+    Every frequency must lie in [-M/2, M/2).
+    """
+    _check_grid_bytes(M)
+    buf = np.zeros((rows.shape[0], M), dtype=np.complex128)
     # distinct frequencies in [-M/2, M/2) have distinct residues mod M
     buf[:, np.mod(freqs, M)] = rows
+    return np.fft.ifft(buf, axis=1)
 
 
-def _point_values_sq(freqs: np.ndarray, rows: np.ndarray, row_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|f_row(t)|^2 for paired (row_idx, t), chunked to bound memory."""
-    out = np.empty(t.size, dtype=np.float64)
+def _direct_values(freqs: np.ndarray, rows: np.ndarray, row_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f_row(t) for paired (row_idx, t), summed termwise in chunks that bound memory."""
+    out = np.empty(t.size, dtype=np.complex128)
     chunk = max(1, (1 << 21) // max(1, freqs.size))
     for lo in range(0, t.size, chunk):
         hi = min(t.size, lo + chunk)
         phases = np.exp(1j * t[lo:hi, None] * freqs[None, :])
-        vals = np.einsum("kn,kn->k", phases, rows[row_idx[lo:hi]])
-        out[lo:hi] = vals.real**2 + vals.imag**2
+        out[lo:hi] = np.einsum("kn,kn->k", phases, rows[row_idx[lo:hi]])
     return out
+
+
+def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> np.ndarray:
+    """|f| on M grid points, default_grid_size(degree) when M is None.
+
+    An explicit M must be at least floor*(degree+1).
+    """
+    if M is None:
+        M = default_grid_size(f.degree)
+    else:
+        M = int(M)
+        if M < floor * (f.degree + 1):
+            raise DomainError(
+                f"need M >= {floor}*(degree+1) = {floor * (f.degree + 1)}, got {M}"
+            )
+    return np.abs(evaluate_grid(f, M))
 
 
 def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -292,9 +285,7 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     chunk = max(1, (1 << 23) // M)
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        spread = np.zeros((hi - lo, M), dtype=np.complex128)
-        _scatter_rows(spread, freqs, rows[lo:hi], M)
-        vals = np.fft.ifft(spread, axis=1)
+        vals = _fft_values(freqs, rows[lo:hi], M)
         g = (vals.real**2 + vals.imag**2) * (M * M)
         bmax = g.max(axis=1)
         best[lo:hi] = bmax
@@ -312,7 +303,8 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     while gap > rel_tol:
         mid_t = np.concatenate([t - h / 2.0, t + h / 2.0])
         mid_rows = np.concatenate([row_idx, row_idx])
-        mid_g = _point_values_sq(freqs, rows, mid_rows, mid_t)
+        mid_v = _direct_values(freqs, rows, mid_rows, mid_t)
+        mid_g = mid_v.real**2 + mid_v.imag**2
         row_idx = np.concatenate([row_idx, mid_rows])
         t = np.concatenate([t, mid_t])
         g = np.concatenate([g, mid_g])
@@ -337,63 +329,16 @@ def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float
     """(grid mean of |f|^q)^(1/q) on M equispaced points.
 
     Exact for even integer q <= 16 at the default grid (then M > q*degree);
-    otherwise a quadrature approximation.
+    otherwise a quadrature approximation.  An explicit M must be at least
+    4*(degree+1).
     """
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got q={q}")
     if len(f) == 0:
         return 0.0
-    deg = f.degree
-    if M is None:
-        M = default_grid_size(deg)
-        if float(q).is_integer() and int(q) % 2 == 0:
-            while M <= int(q) * deg:
-                M *= 2
-    else:
-        M = int(M)
-        if M < 4 * (deg + 1):
-            raise DomainError(f"need M >= 4*(degree+1) = {4 * (deg + 1)}, got {M}")
-    a = np.abs(evaluate_grid(f, M))
+    if M is None and float(q).is_integer() and int(q) % 2 == 0:
+        M = default_grid_size(f.degree)
+        while M <= int(q) * f.degree:
+            M *= 2
+    a = _grid_abs(f, M, 4)
     return float(np.mean(a**q) ** (1.0 / q))
-
-
-def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
-    """Coefficient convolution; spectrum lands in the sumset."""
-    if len(f) == 0 or len(g) == 0:
-        return TrigPolynomial()
-    sums = (f.freqs[:, None] + g.freqs[None, :]).ravel()
-    prods = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
-    out_f, inv = np.unique(sums, return_inverse=True)
-    out_c = np.zeros(out_f.size, dtype=np.complex128)
-    np.add.at(out_c, inv, prods)
-    return TrigPolynomial(zip(out_f.tolist(), out_c.tolist()))
-
-
-def level_sets(f: TrigPolynomial, ratio: float) -> LevelSetDecomposition:
-    """Dyadic level sets of |c|/max|c| plus the ratio-driven selection.
-
-    Level j collects gamma with 2^{-j+1} >= |c_gamma|/max|c| > 2^{-j};
-    normalization happens on a copy.  Selection starts at the first level
-    and jumps to the least later level more than ``ratio`` times bigger.
-    """
-    if len(f) == 0:
-        raise DomainError("level_sets needs a nonempty polynomial")
-    if not ratio > 1.0:
-        raise DomainError(f"need ratio > 1, got {ratio}")
-    a = np.abs(f.coeffs)
-    a = a / a.max()
-    js = np.floor(-np.log2(a)).astype(np.int64) + 1
-    by_level: dict = {}
-    for g, j in zip(f.freqs.tolist(), js.tolist()):
-        by_level.setdefault(int(j), []).append(int(g))
-    levels = tuple((j, tuple(sorted(by_level[j]))) for j in sorted(by_level))
-    selected = [levels[0][0]]
-    cur_size = len(levels[0][1])
-    for j, members in levels[1:]:
-        if len(members) > ratio * cur_size:
-            selected.append(j)
-            cur_size = len(members)
-    sizes = tuple(len(by_level[j]) for j in selected)
-    return LevelSetDecomposition(
-        levels=levels, selected_indices=tuple(selected), ratio=float(ratio), sizes=sizes
-    )

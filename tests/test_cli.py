@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,43 @@ def test_run_unknown_config_key_exits_2(capsys, tmp_path):
     cfg.write_text("[E10]\nbogus = 1\n")
     code, _, err = run_cli(capsys, "run", "E10", "--config", str(cfg))
     assert code == 2 and "bogus" in err
+
+
+def assert_one_line_exit_2(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_norm_sup_over_grid_byte_cap_exits_2(capsys, poly_file):
+    # degree 2^40 would need a 2^45-point FFT grid, 512 TiB
+    path = poly_file([[1, 1.0, 0.0], [2**40, 1.0, 0.0]])
+    assert "cap" in assert_one_line_exit_2(capsys, "norm", "sup", path)
+
+
+def test_norm_lq_over_grid_byte_cap_exits_2(capsys, poly_file):
+    path = poly_file([[1, 1.0, 0.0], [3, 1.0, 0.0]])
+    err = assert_one_line_exit_2(capsys, "norm", "lq", path, "--q", "2", "--grid", str(2**46))
+    assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "exp_id, section, keys",
+    [
+        ("E2", "suite_size = 0", ["suite_size"]),
+        ("E5", "n_min = 9\nn_max = 4", ["n_min", "n_max"]),
+        ("E11", "k_min = 8\nk_max = 4", ["k_min", "k_max"]),
+    ],
+    ids=["E2", "E5", "E11"],
+)
+def test_run_empty_range_exits_2(capsys, tmp_path, exp_id, section, keys):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[{exp_id}]\n{section}\n")
+    err = assert_one_line_exit_2(capsys, "run", exp_id, "--config", str(cfg))
+    assert all(key in err for key in keys)
 
 
 def test_console_script_entry_point():

@@ -8,14 +8,11 @@ import pytest
 from thinset_lab import (
     DomainError,
     ExtractionError,
-    NormEstimate,
     ResourceLimitError,
     as_freqset,
-    bourgain_extract,
     is_quasi_independent,
     max_quasi_independent,
     partition_lemma,
-    q_lower_bounds,
 )
 from util_oracles import brute_is_qi, brute_q_value
 
@@ -131,56 +128,3 @@ def test_partition_lemma_domain():
     with pytest.raises(DomainError):
         partition_lemma([1, 2], 0.5, 0.5)
 
-
-def test_bourgain_extract_single_block():
-    B = [2, 4, 8, 16]
-    res = bourgain_extract([B])
-    assert res.found
-    assert res.subsets == (tuple(B),)
-
-
-def test_bourgain_extract_two_blocks():
-    res = bourgain_extract([[3, 9], [2, 4, 8, 16]], ratio_check=1.0)
-    assert res.found
-    assert len(res.subsets) == 2
-    union = [g for c in res.subsets for g in c]
-    ok, _ = is_quasi_independent(union)
-    assert ok
-    assert res.combos_checked >= 1
-
-
-def test_bourgain_extract_validation():
-    with pytest.raises(DomainError):
-        bourgain_extract([])
-    with pytest.raises(DomainError):
-        bourgain_extract([[1, 2], [2, 4]])
-    with pytest.raises(DomainError):
-        bourgain_extract([[1, 2, 3]])
-    with pytest.raises(DomainError):
-        bourgain_extract([[2, 4, 8], [16, 32]], ratio_check=1.0)
-    with pytest.raises(ResourceLimitError):
-        bourgain_extract([list(2 ** np.arange(1, 22))])
-
-
-def test_q_lower_bounds_values():
-    est = NormEstimate(
-        value=4.0, trials=10, groups=2, spread=0.1, grid_tol=1e-3,
-        group_means=(4.0, 4.0), kind="p_stable", p=1.5, seed=0, stream_id=0,
-    )
-    A = [1, 2, 4, 8]
-    via_psi, via_stable = q_lower_bounds(A, 1.5, 2.0, est, psi_val=2.0)
-    assert math.isclose(via_psi, (4.0 / 2.0) ** 2.0, rel_tol=1e-12)
-    assert math.isclose(via_stable, (4.0 / 4.0 ** (2.0 / 3.0)) ** 3.0, rel_tol=1e-12)
-    plain_psi, plain_stable = q_lower_bounds(A, 1.5, 2.0, 4.0, psi_val=2.0)
-    assert plain_psi == via_psi and plain_stable == via_stable
-
-
-def test_q_lower_bounds_domain():
-    with pytest.raises(DomainError):
-        q_lower_bounds([], 1.5, 2.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        q_lower_bounds([1], 2.5, 2.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        q_lower_bounds([1], 1.5, -1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        q_lower_bounds([1], 1.5, 2.0, 1.0, 0.0)

@@ -13,7 +13,6 @@ from thinset_lab import (
     estimate_bracket,
     fq_norm,
     median_of_means,
-    mp_tail_bound,
     sz_lower,
     zero_one_upper,
 )
@@ -86,31 +85,6 @@ def test_rademacher_estimate_bounds():
         # per trial the sup dominates the L2 norm, which sign flips preserve
         assert est.value >= fq_norm(f, 2.0) * (1.0 - SUP_REL_TOL) - 3.0 * est.spread
         assert est.value <= fq_norm(f, 1.0) * (1.0 + SUP_REL_TOL)
-
-
-def test_mp_tail_bound_frozen_value_and_formula():
-    single = TrigPolynomial({5: 1.0})
-    assert math.isclose(mp_tail_bound(single, 1.5), 1.298175095226874, rel_tol=1e-12)
-
-    f = TrigPolynomial({2: 1.0, 3: 0.5, 7: 0.25})
-    p = 1.3
-    coeffs = {2: 1.0, 3: 0.5, 7: 0.25}
-    want = 0.0
-    for k in range(2, 8):
-        tail = sum(abs(c) ** p for g, c in coeffs.items() if g >= k)
-        want += tail ** (1.0 / p) / (k * math.log(k) ** (1.0 / p))
-    assert math.isclose(mp_tail_bound(f, p), want, rel_tol=1e-12)
-
-
-def test_mp_tail_bound_domain():
-    assert mp_tail_bound(TrigPolynomial(), 1.5) == 0.0
-    assert mp_tail_bound(TrigPolynomial({1: 2.0}), 1.5) == 0.0
-    with pytest.raises(DomainError):
-        mp_tail_bound(TrigPolynomial({0: 1.0, 3: 1.0}), 1.5)
-    with pytest.raises(DomainError):
-        mp_tail_bound(TrigPolynomial({-2: 1.0}), 1.5)
-    with pytest.raises(DomainError):
-        mp_tail_bound(TrigPolynomial({3: 1.0}), 2.5)
 
 
 def test_zero_one_upper_formula():

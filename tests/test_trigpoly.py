@@ -1,23 +1,24 @@
-"""Polynomial data model, norms, evaluation, products, level sets."""
+"""Polynomial data model, norms, grid evaluation, sup and L^q norms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from thinset_lab import (
     DomainError,
+    ResourceLimitError,
     TrigPolynomial,
     default_grid_size,
     evaluate_grid,
     fq_norm,
-    level_sets,
     lorentz_norms,
     lq_function_norm,
-    multiply,
     sup_norm,
     sup_norm_rows,
 )
+from util_oracles import direct_values
 
 
 def _random_poly(rng, max_abs_freq=512, size_hi=12):
@@ -159,24 +160,32 @@ def test_evaluate_grid_direct_matches_fft_on_random_polys():
     for _ in range(100):
         f = _random_poly(rng, max_abs_freq=512)
         M = 2048
-        a = evaluate_grid(f, M, method="fft")
-        b = evaluate_grid(f, M, method="direct")
-        assert np.max(np.abs(a - b)) < 1e-9
+        # every frequency fits the grid, so this is the FFT path
+        a = evaluate_grid(f, M)
+        assert np.max(np.abs(a - direct_values(f, M))) < 1e-9
 
 
 def test_evaluate_grid_fft_requires_fitting_frequencies():
-    f = TrigPolynomial({100: 1.0})
-    with pytest.raises(DomainError):
-        evaluate_grid(f, 64, method="fft")
-    # auto silently takes the direct path instead
-    assert np.allclose(evaluate_grid(f, 64), evaluate_grid(f, 64, method="direct"))
+    # 100 lies outside [-32, 32), so the termwise path answers
+    f = TrigPolynomial({100: 1.0, -3: 2.0 - 1.0j})
+    assert np.max(np.abs(evaluate_grid(f, 64) - direct_values(f, 64))) < 1e-12
 
 
 def test_evaluate_grid_domain():
     with pytest.raises(DomainError):
         evaluate_grid(TrigPolynomial({1: 1.0}), 0)
-    with pytest.raises(DomainError):
-        evaluate_grid(TrigPolynomial({1: 1.0}), 8, method="nope")
+
+
+def test_dense_grids_over_the_byte_cap_raise_before_allocating():
+    huge = TrigPolynomial({1: 1.0, 2**40: 1.0})
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        sup_norm(huge)
+    with pytest.raises(ResourceLimitError):
+        evaluate_grid(TrigPolynomial({1: 1.0}), 2**46)
+    with pytest.raises(ResourceLimitError):
+        lq_function_norm(TrigPolynomial({1: 1.0}), 2.0, M=2**46)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- sup norm ---------------------------------------------------------------
@@ -253,84 +262,6 @@ def test_lq_function_norm_grid_floor():
         lq_function_norm(f, 2.0, M=43)
     with pytest.raises(DomainError):
         lq_function_norm(f, 0.5)
-
-
-# --- products ---------------------------------------------------------------
-
-
-def test_multiply_examples():
-    f = TrigPolynomial({1: 1.0, 2: 1.0})
-    assert multiply(f, TrigPolynomial()) == TrigPolynomial()
-    sq = multiply(f, f)
-    assert sq == TrigPolynomial({2: 1.0, 3: 2.0, 4: 1.0})
-    ind = TrigPolynomial.indicator([1, 2, 3])
-    assert multiply(ind, ind).coeff(4) == 3.0
-
-
-def test_multiply_commutative_associative_exact_on_integers():
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        fs = []
-        for _ in range(3):
-            m = int(rng.integers(1, 6))
-            freqs = rng.choice(np.arange(-30, 31), size=m, replace=False)
-            coeffs = rng.integers(-5, 6, size=m)
-            fs.append(TrigPolynomial(zip(freqs.tolist(), [complex(c) for c in coeffs])))
-        f, g, h = fs
-        assert multiply(f, g) == multiply(g, f)
-        assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
-        sumset = {a + b for a in f.freqs.tolist() for b in g.freqs.tolist()}
-        assert set(multiply(f, g).freqs.tolist()) <= sumset
-
-
-# --- level sets -------------------------------------------------------------
-
-
-def test_level_sets_indicator_single_level():
-    dec = level_sets(TrigPolynomial.indicator([1, 4, 9]), ratio=2.0)
-    assert dec.levels == ((1, (1, 4, 9)),)
-    assert dec.selected_indices == (1,)
-    assert dec.sizes == (3,)
-
-
-def test_level_sets_dyadic_binning():
-    f = TrigPolynomial({1: 1.0, 2: 0.6, 3: 0.3, 4: 0.1})
-    dec = level_sets(f, ratio=1.5)
-    assert dict(dec.levels) == {1: (1, 2), 2: (3,), 4: (4,)}
-
-
-def test_level_sets_selection_rule():
-    # sizes by level: j=1 -> 2, j=2 -> 3, j=3 -> 9; with ratio 4 only the
-    # final level exceeds 4x the current size
-    terms = {}
-    g = 1
-    for _ in range(2):
-        terms[g] = 1.0
-        g += 1
-    for _ in range(3):
-        terms[g] = 0.4
-        g += 1
-    for _ in range(9):
-        terms[g] = 0.2
-        g += 1
-    dec = level_sets(TrigPolynomial(terms), ratio=4.0)
-    assert dec.selected_indices == (1, 3)
-    assert dec.sizes == (2, 9)
-    spectrum = sorted(g for _, members in dec.levels for g in members)
-    assert spectrum == sorted(terms)
-
-
-def test_level_sets_normalization_does_not_mutate():
-    f = TrigPolynomial({1: 4.0, 2: 1.0})
-    level_sets(f, ratio=2.0)
-    assert f.coeff(1) == 4.0
-
-
-def test_level_sets_domain():
-    with pytest.raises(DomainError):
-        level_sets(TrigPolynomial(), 2.0)
-    with pytest.raises(DomainError):
-        level_sets(TrigPolynomial({1: 1.0}), 1.0)
 
 
 def test_default_grid_size_shape():

@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to pin down the fast implementations.
 
-Everything here is deliberately naive: full sign-pattern enumeration and
-bitmask subset scans, sized for n <= 8.
+Everything here is deliberately naive: full sign-pattern and tuple
+enumeration, bitmask subset scans sized for n <= 8, and termwise
+evaluation of a polynomial with each phase reduced mod the grid size.
 """
 
 from itertools import product
+
+import numpy as np
 
 
 def brute_zero_relations(A):
@@ -37,3 +40,21 @@ def brute_q_value(A) -> int:
         if not any(k & ~mask == 0 for k in kills):
             best = size
     return best
+
+
+def brute_r_alpha(A, alpha, n):
+    """[number of ordered alpha-tuples from A summing to j for j = 0..n]."""
+    counts = [0] * (n + 1)
+    for tup in product(A, repeat=alpha):
+        if 0 <= sum(tup) <= n:
+            counts[sum(tup)] += 1
+    return counts
+
+
+def direct_values(f, M):
+    """f(2 pi k / M) for k = 0..M-1, one term at a time, phases reduced mod M."""
+    k = np.arange(M, dtype=np.int64)
+    out = np.zeros(M, dtype=np.complex128)
+    for g, c in zip(f.freqs.tolist(), f.coeffs.tolist()):
+        out += c * np.exp(2j * np.pi * ((k * g) % M) / M)
+    return out
