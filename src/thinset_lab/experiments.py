@@ -130,6 +130,7 @@ def _run_e1(cfg: dict, streams: itertools.count) -> list:
             checks.append(
                 CheckResult(f"stability_p{p}_r{radius}", dev, dev * math.sqrt(n), dev < tol)
             )
+    _require(checks, "cf_ring", cfg, ("ps",))
     return checks
 
 
@@ -231,6 +232,7 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
             est = estimate_bracket(g, _stable_driver(p, cfg["seed"], stream), trials)
             ratio = est.value / base.value
             checks.append(CheckResult(f"contract_{i}_{name}", ratio, cap, ratio <= cap))
+    _require(checks, "contract", cfg, ("suite_size",))
     return checks
 
 

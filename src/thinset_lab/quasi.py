@@ -8,10 +8,15 @@ collision between one half's sums and the negation of the other's; zero
 sums with a nonzero representative are caught while the halves are built.
 
 q(A), the largest size of a quasi-independent subset, is computed by
-branch-and-bound over inclusion order.  The search state carries the
-sorted array of all signed sums achievable from the chosen set; an element
-gamma can extend the set exactly when gamma is not an achievable sum, and
+branch-and-bound over inclusion order.  The search state is the set of
+signed sums achievable from the chosen set: a Python-int bitset when
+sum |A| < 2^24 (one bit probe per membership test, three shifts per
+extension), a sorted int64 array above that.  An element gamma can extend
+the set exactly when gamma is not an achievable sum, and
 |chosen| + |still addable| is an upper bound that prunes.
+
+Every array level of signed sums (a half enumeration step, an array-state
+extension) checks its bytes against _SUM_BYTES_CAP before allocating.
 
 partition_lemma repeatedly extracts a maximum (or greedy, above the
 exact-size cap) quasi-independent subset from the remainder, trims it
@@ -42,7 +47,15 @@ __all__ = [
 _CHECK_SIZE_CAP = 40
 _EXACT_SIZE_CAP = 25
 _SUM_MAGNITUDE_CAP = 1 << 62
-_HALF_ENTRIES_CAP = 1 << 26
+# below this sum |A| the signed sums of any subset fit a bitset of < 2^25 bits
+_BITSET_SUM_LIMIT = 1 << 24
+# one signed-sum level may allocate at most this many bytes: a 15-element
+# half (3^15 sums) fits, a 16-element one with distinct sums does not
+_SUM_BYTES_CAP = 1 << 30
+# peak bytes per new sum of one level: concatenation, representatives and
+# np.unique's sort (measured 53 for a half level, 25 for an array extension)
+_BYTES_PER_SUM = 56
+_COLLISION_CHUNK = 1 << 16
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -121,34 +134,47 @@ def _decode_rep(rep: int, members: tuple, positions: dict, size: int) -> list:
     return theta
 
 
+def _check_sum_bytes(n_sums: int, what: str) -> None:
+    need = n_sums * _BYTES_PER_SUM
+    if need > _SUM_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{what}: {n_sums} signed sums need about {need} bytes, over the {_SUM_BYTES_CAP}-byte cap"
+        )
+
+
 def _half_sums(members: tuple):
     """All achievable signed sums of one half with one representative each.
 
-    Returns (sums sorted int64 array, base-3 packed representatives aligned
-    with it, zero_witness_rep or None).  A zero sum achievable with a
-    nonzero sign vector is detected before deduplication collapses it onto
-    the always-present empty representative.
+    Returns (sums sorted int64 array, base-3 packed uint32 representatives
+    aligned with it, zero_witness_rep or None).  A zero sum achievable with
+    a nonzero sign vector is detected before deduplication collapses it
+    onto the always-present empty representative.  Halves have at most 20
+    members, so representatives stay below 3^20 < 2^32.
     """
     sums = np.zeros(1, dtype=np.int64)
-    reps = np.zeros(1, dtype=np.int64)
+    reps = np.zeros(1, dtype=np.uint32)
     for local, g in enumerate(members):
+        n = sums.size
+        _check_sum_bytes(3 * n, "half enumeration")
         step = 3**local
-        plus_s = sums + g
-        minus_s = sums - g
-        plus_r = reps + step
-        minus_r = reps + 2 * step
-        for cand_s, cand_r in ((plus_s, plus_r), (minus_s, minus_r)):
-            zero_at = np.nonzero(cand_s == 0)[0]
-            if zero_at.size:
-                return sums, reps, int(cand_r[zero_at[0]])
-        all_s = np.concatenate([sums, plus_s, minus_s])
-        all_r = np.concatenate([reps, plus_r, minus_r])
+        all_s = np.empty(3 * n, dtype=np.int64)
+        all_s[:n] = sums
+        np.add(sums, g, out=all_s[n : 2 * n])
+        np.subtract(sums, g, out=all_s[2 * n :])
+        # searching the plus block first fixes which witness is returned
+        zero_at = np.flatnonzero(all_s[n:] == 0)
+        if zero_at.size:
+            i = int(zero_at[0])
+            return sums, reps, int(reps[i % n]) + (step if i < n else 2 * step)
+        all_r = np.empty(3 * n, dtype=np.uint32)
+        all_r[:n] = reps
+        np.add(reps, step, out=all_r[n : 2 * n])
+        np.add(reps, 2 * step, out=all_r[2 * n :])
+        del sums, reps
         sums, first = np.unique(all_s, return_index=True)
+        del all_s
         reps = all_r[first]
-        if sums.size > _HALF_ENTRIES_CAP:
-            raise ResourceLimitError(
-                f"half enumeration exceeded {_HALF_ENTRIES_CAP} distinct sums"
-            )
+        del all_r, first
     return sums, reps, None
 
 
@@ -179,24 +205,68 @@ def is_quasi_independent(B) -> tuple:
 
     # cross collision: s in left sums, -s in right sums, s != 0 means both
     # representatives are nonzero (zero sums with nonzero reps were caught
-    # above, so the kept rep of a zero sum is empty on both sides)
-    idx = np.searchsorted(sums_l, -sums_r)
-    idx = np.minimum(idx, sums_l.size - 1)
-    hit = (sums_l[idx] == -sums_r) & (sums_r != 0)
-    where = np.nonzero(hit)[0]
-    if where.size:
-        j = int(where[0])
-        theta_l = _decode_rep(int(reps_l[idx[j]]), left, positions, len(B))
-        theta_r = _decode_rep(int(reps_r[j]), right, positions, len(B))
-        return (False, [a + b for a, b in zip(theta_l, theta_r)])
+    # above, so the kept rep of a zero sum is empty on both sides); chunks
+    # of the right half keep the temporaries small and stop at the first hit
+    for start in range(0, sums_r.size, _COLLISION_CHUNK):
+        neg = -sums_r[start : start + _COLLISION_CHUNK]
+        idx = np.minimum(np.searchsorted(sums_l, neg), sums_l.size - 1)
+        where = np.flatnonzero((sums_l[idx] == neg) & (neg != 0))
+        if where.size:
+            j = int(where[0])
+            theta_l = _decode_rep(int(reps_l[idx[j]]), left, positions, len(B))
+            theta_r = _decode_rep(int(reps_r[start + j]), right, positions, len(B))
+            return (False, [a + b for a, b in zip(theta_l, theta_r)])
     return (True, None)
 
 
-def _extend_sums(ss: np.ndarray, g: int) -> np.ndarray:
-    out = np.unique(np.concatenate([ss, ss + g, ss - g]))
-    if out.size > _HALF_ENTRIES_CAP:
-        raise ResourceLimitError("signed-sum set exceeded the memory cap")
-    return out
+class _BitSums:
+    """Signed sums of a chosen set as a Python int: bit x + off is set for
+    each achievable sum x, where off = sum |chosen| bounds the symmetric set."""
+
+    __slots__ = ("bits", "off")
+
+    def __init__(self, bits: int = 1, off: int = 0):
+        self.bits = bits
+        self.off = off
+
+    def addable(self, candidates) -> list:
+        """The candidates that are not achievable sums, in order."""
+        # the set is symmetric, so probe +|g|: the shift keeps at most the
+        # upper half, and for |g| > off it leaves 0
+        bits, off = self.bits, self.off
+        return [g for g in candidates if not bits >> (off + abs(g)) & 1]
+
+    def extend(self, g: int) -> "_BitSums":
+        # S | S+g | S-g re-offset by |g|: the set is symmetric about 0
+        a = abs(g)
+        b = self.bits
+        return _BitSums(b | b << a | b << (2 * a), self.off + a)
+
+
+class _ArraySums:
+    """Signed sums of a chosen set as a sorted int64 array."""
+
+    __slots__ = ("sums",)
+
+    def __init__(self, sums: np.ndarray | None = None):
+        self.sums = np.zeros(1, dtype=np.int64) if sums is None else sums
+
+    def addable(self, candidates) -> list:
+        """The candidates that are not achievable sums, in order."""
+        ss = self.sums
+        g = np.asarray(candidates, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(ss, g), ss.size - 1)
+        return [int(x) for x in g[ss[idx] != g]]
+
+    def extend(self, g: int) -> "_ArraySums":
+        ss = self.sums
+        _check_sum_bytes(3 * ss.size, "signed-sum set")
+        return _ArraySums(np.unique(np.concatenate([ss, ss + g, ss - g])))
+
+
+def _empty_sums(elements):
+    """Signed sums of the empty set, as a bitset when sum |elements| < 2^24."""
+    return _BitSums() if sum(abs(g) for g in elements) < _BITSET_SUM_LIMIT else _ArraySums()
 
 
 class _Budget(Exception):
@@ -211,8 +281,11 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     quasi-independent chosen set exactly when gamma is not an achievable
     signed sum of it; elements failing that test now fail it forever, so
     candidates are filtered monotonically and |chosen| + |candidates|
-    prunes against the best known size.  Budget exhaustion returns the
-    best witness found with exact=False; exact results are optimal.
+    prunes against the best known size.  Each node's signed sums are a
+    bitset when sum |A| < 2^24 and a sorted array above that (see the
+    module docstring).  Budget exhaustion, or a signed-sum level over the
+    byte cap, returns the best witness found with exact=False; exact
+    results are optimal.
     """
     A = as_freqset(A)
     if sum(abs(g) for g in A) >= _SUM_MAGNITUDE_CAP:
@@ -226,28 +299,26 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     nodes = 0
     exhausted = False
 
-    def visit(chosen: list, ss: np.ndarray, candidates: list) -> None:
+    def visit(chosen: list, sums, candidates: list) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
         if nodes > budget:
             raise _Budget()
-        addable = [g for g in candidates if not _contains(ss, g)]
+        addable = sums.addable(candidates)
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + len(addable) <= len(best):
-            return
+        # taking addable[i] leaves room for at most room - i elements
+        room = len(chosen) + len(addable)
         for i, g in enumerate(addable):
-            rest = addable[i + 1 :]
-            if len(chosen) + 1 + len(rest) <= len(best):
+            if room - i <= len(best):
                 break
             try:
-                visit(chosen + [g], _extend_sums(ss, g), rest)
+                visit(chosen + [g], sums.extend(g), addable[i + 1 :])
             except ResourceLimitError:
                 exhausted = True
-        return
 
     try:
-        visit([], np.zeros(1, dtype=np.int64), order)
+        visit([], _empty_sums(A), order)
         exact = not exhausted
     except _Budget:
         exact = False
@@ -259,22 +330,17 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     )
 
 
-def _contains(ss: np.ndarray, g: int) -> bool:
-    i = int(np.searchsorted(ss, g))
-    return i < ss.size and ss[i] == g
-
-
 def _greedy_extract(remainder: tuple, cap: int) -> tuple:
     """Inclusion-greedy quasi-independent subset, largest magnitudes first,
     stopping at cap elements."""
-    ss = np.zeros(1, dtype=np.int64)
+    sums = _empty_sums(remainder)
     chosen: list = []
     for g in sorted(remainder, key=abs, reverse=True):
         if len(chosen) >= cap:
             break
-        if not _contains(ss, g):
+        if sums.addable((g,)):
             chosen.append(g)
-            ss = _extend_sums(ss, g)
+            sums = sums.extend(g)
     return tuple(sorted(chosen))
 
 

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from thinset_lab import quasi
 from thinset_lab.cli import main
 
 
@@ -244,14 +246,24 @@ def test_norm_lq_over_grid_byte_cap_exits_2(capsys, poly_file):
     assert "cap" in err
 
 
+def test_qis_check_over_signed_sum_byte_cap_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(quasi, "_SUM_BYTES_CAP", 1 << 20)
+    # 20 members below 10^9: each half has 3^10 distinct signed sums
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([int(g) for g in np.random.default_rng(46).choice(10**9, 20, replace=False) + 1]))
+    assert "cap" in assert_one_line_exit_2(capsys, "qis", "check", str(path))
+
+
 @pytest.mark.parametrize(
     "exp_id, section, keys",
     [
+        ("E1", "ps = []", ["ps"]),
         ("E2", "suite_size = 0", ["suite_size"]),
+        ("E4", "suite_size = 0", ["suite_size"]),
         ("E5", "n_min = 9\nn_max = 4", ["n_min", "n_max"]),
         ("E11", "k_min = 8\nk_max = 4", ["k_min", "k_max"]),
     ],
-    ids=["E2", "E5", "E11"],
+    ids=["E1", "E2", "E4", "E5", "E11"],
 )
 def test_run_empty_range_exits_2(capsys, tmp_path, exp_id, section, keys):
     cfg = tmp_path / "lab.ini"

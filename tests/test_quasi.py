@@ -1,6 +1,7 @@
 """Quasi-independence: checker, maximum search, partitions, comparators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from thinset_lab import (
     is_quasi_independent,
     max_quasi_independent,
     partition_lemma,
+    quasi,
 )
 from util_oracles import brute_is_qi, brute_q_value
+
+# scaling by 2^25 keeps every relation and pushes sum |A| past the bitset limit
+ARRAY_SCALE = 2**25
 
 
 def test_as_freqset_sorts_and_rejects_duplicates():
@@ -127,4 +132,98 @@ def test_partition_lemma_domain():
         partition_lemma([0], 1.0, 0.5)
     with pytest.raises(DomainError):
         partition_lemma([1, 2], 0.5, 0.5)
+
+
+def _signed_sets(rng, count, size_hi, bound):
+    """Seeded sets of distinct ints in [-bound, bound], 0 allowed."""
+    for _ in range(count):
+        size = int(rng.integers(2, size_hi + 1))
+        yield sorted(int(g) for g in rng.choice(np.arange(-bound, bound + 1), size=size, replace=False))
+
+
+def test_bitset_and_array_search_agree_with_the_oracle():
+    rng = np.random.default_rng(43)
+    for A in _signed_sets(rng, 60, 8, 15):
+        scaled = [ARRAY_SCALE * g for g in A]
+        assert isinstance(quasi._empty_sums(A), quasi._BitSums)
+        assert isinstance(quasi._empty_sums(scaled), quasi._ArraySums)
+        res = max_quasi_independent(A)
+        res_scaled = max_quasi_independent(scaled)
+        assert res.exact and res_scaled.exact
+        assert res.q_value == res_scaled.q_value == brute_q_value(A), A
+        assert res_scaled.witness == tuple(ARRAY_SCALE * g for g in res.witness)
+        assert res_scaled.nodes_explored == res.nodes_explored
+        assert brute_is_qi(res.witness)
+
+
+def test_bitset_and_array_greedy_pick_the_same_set():
+    rng = np.random.default_rng(44)
+    for A in _signed_sets(rng, 60, 14, 40):
+        cap = int(rng.integers(1, len(A) + 1))
+        picked = quasi._greedy_extract(tuple(A), cap)
+        scaled = quasi._greedy_extract(tuple(ARRAY_SCALE * g for g in A), cap)
+        assert scaled == tuple(ARRAY_SCALE * g for g in picked)
+        assert len(picked) <= cap
+        assert brute_is_qi(picked)
+
+
+# (seeded 20-sets below 10^6, witness) recorded before the signed-sum
+# enumeration was reworked: the second zero sum lies inside the left half,
+# the others are cross collisions between the halves
+PINNED_WITNESSES = [
+    ([78536, 78725, 92342, 142231, 165987, 169620, 180823, 214320, 241524, 263830,
+      309448, 317643, 359646, 675819, 799456, 867923, 908667, 913813, 915328, 995792],
+     [-1, 0, 0, 0, 1, 1, 1, 1, 1, 1, -1, 1, -1, 0, -1, 0, 1, 0, -1, 0]),
+    ([64882, 129573, 150653, 206341, 213156, 268063, 268365, 274243, 278038, 325344,
+      367808, 442719, 442910, 720919, 766769, 799761, 807178, 826007, 829548, 874948],
+     [-1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ([71358, 79033, 88194, 123859, 184785, 195675, 204560, 228351, 245201, 316779,
+      348771, 371656, 458516, 553826, 639491, 681653, 812533, 833892, 905464, 914608],
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, -1, -1, 0, -1, 1, 0, -1]),
+    ([12812, 48212, 126143, 201926, 326072, 342746, 403443, 420295, 494814, 505151,
+      518930, 546624, 552113, 559923, 585378, 598453, 664231, 943934, 993774, 996353],
+     [0, 0, 1, 0, 1, 0, 1, 1, 1, 1, -1, 1, 1, -1, -1, 0, -1, 1, -1, -1]),
+]
+
+
+def test_pinned_witnesses_on_dependent_sets():
+    rng = np.random.default_rng(2024)
+    for B, witness in PINNED_WITNESSES:
+        assert B == sorted(int(g) for g in rng.choice(10**6 - 1, 20, replace=False) + 1)
+        assert is_quasi_independent(B) == (False, witness)
+        assert sum(t * g for t, g in zip(witness, B)) == 0
+
+
+def _traced_peak(fn):
+    """(result or raised exception, peak traced bytes above the start)."""
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn()
+    except ResourceLimitError as err:
+        out = err
+    peak = tracemalloc.get_traced_memory()[1] - start
+    tracemalloc.stop()
+    return out, peak
+
+
+def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
+    rng = np.random.default_rng(45)
+    B = sorted(int(g) for g in rng.choice(10**9 - 1, 20, replace=False) + 1)
+    A = [ARRAY_SCALE * g for g in B[:12]]
+    # numpy allocates some state once, on its first calls
+    is_quasi_independent(B[:4])
+    max_quasi_independent(A[:3])
+    quasi._greedy_extract(tuple(A[:3]), 3)
+    # 1 MiB, and the tightest cap that still admits 3^9 new sums
+    for cap in (1 << 20, quasi._BYTES_PER_SUM * 3**9):
+        monkeypatch.setattr(quasi, "_SUM_BYTES_CAP", cap)
+        out, peak = _traced_peak(lambda: is_quasi_independent(B))
+        assert isinstance(out, ResourceLimitError) and peak <= cap
+        out, peak = _traced_peak(lambda: quasi._greedy_extract(tuple(A), len(A)))
+        assert isinstance(out, ResourceLimitError) and peak <= cap
+        # the search treats a capped branch like an exhausted budget
+        res, peak = _traced_peak(lambda: max_quasi_independent(A))
+        assert not res.exact and 0 < res.q_value < len(A) and peak <= cap
+        assert is_quasi_independent(res.witness)[0]
 
