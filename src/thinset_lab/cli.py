@@ -21,25 +21,33 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import DomainError
 from .examples_sets import GENERATOR_KINDS, fit_mesh_exponent, generate, mesh_counts, r_alpha
 from .exponents import derive_exponents, orlicz_params
 from .experiments import EXPERIMENT_IDS, emit_report, run_experiment
 from .orlicz import OrliczFunction, log_type_functional, luxemburg_norm
-from .quasi import is_quasi_independent, max_quasi_independent, partition_lemma
-from .sampler import DriverDistribution, resolve_seed
+from .quasi import DEFAULT_BUDGET, is_quasi_independent, max_quasi_independent, partition_lemma
+from .sampler import DRIVER_KINDS, DriverDistribution, resolve_seed
 from .stable_norm import estimate_bracket
 from .trigpoly import TrigPolynomial, fq_norm, lorentz_norms, lq_function_norm, sup_norm
 
 __all__ = ["main"]
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return _read_text(path)
 
 
 def _load_poly(path: str | None) -> TrigPolynomial:
@@ -68,8 +76,7 @@ def _load_config(path: str | None, exp_id: str) -> dict:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser.read_string(_read_text(path), source=path)
     merged: dict = {}
     for section in ("common", exp_id):
         if parser.has_section(section):
@@ -123,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n_st.add_argument("--p", type=float)
     n_st.add_argument("--trials", type=int, required=True)
     n_st.add_argument("--groups", type=int)
-    n_st.add_argument("--kind", choices=["p_stable", "complex_gaussian", "rademacher"], default="p_stable")
+    n_st.add_argument("--kind", choices=DRIVER_KINDS, default="p_stable")
     n_st.add_argument("--seed", type=int)
     n_st.add_argument("--stream-id", type=int, default=0)
 
@@ -135,13 +142,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q_max = qis_sub.add_parser("max", help="largest quasi-independent subset")
     q_max.add_argument("file", nargs="?")
-    q_max.add_argument("--budget", type=int, default=2_000_000)
+    q_max.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     q_part = qis_sub.add_parser("partition", help="disjoint quasi-independent subsets")
     q_part.add_argument("file", nargs="?")
     q_part.add_argument("--c", type=float, required=True)
     q_part.add_argument("--epsilon", type=float, required=True)
-    q_part.add_argument("--budget", type=int, default=2_000_000)
+    q_part.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_sets = sub.add_parser("sets", help="example frequency sets and statistics")
     sets_sub = p_sets.add_subparsers(dest="sets_kind", required=True)
@@ -177,26 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_exponents(args) -> int:
     table = derive_exponents(args.p, args.q)
-    obj = {
-        "p": table.p,
-        "q": table.q,
-        "p_conj": table.p_conj,
-        "q_conj": table.q_conj,
-        "epsilon": table.epsilon,
-        "alpha": table.alpha,
-        "beta": table.beta,
-        "s": table.s,
-        "mesh_exp": table.mesh_exp,
-    }
+    obj = asdict(table)
     if args.r is not None:
         params = orlicz_params(table.s, args.r)
-        obj["orlicz"] = {
-            "s": params.s,
-            "r": params.r,
-            "rho": params.rho,
-            "p_tilde": params.p_tilde,
-            "p_tilde_conj": params.p_tilde_conj,
-        }
+        obj["orlicz"] = dict(asdict(params), p_tilde_conj=params.p_tilde_conj)
     _emit(obj)
     return 0
 
@@ -286,8 +277,11 @@ def _cmd_run(args) -> int:
     report = run_experiment(args.experiment, overrides)
     payload = emit_report(report, fmt=args.format, include_meta=args.meta)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload.decode())
     return 0 if report.passed else 1

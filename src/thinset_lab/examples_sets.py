@@ -31,6 +31,12 @@ __all__ = [
 GENERATOR_KINDS = ("squares", "powers", "sums_of_powers", "interval", "random")
 
 _CONV_LENGTH_CAP = 1 << 26
+# an interval or random set below N peaks at _BYTES_PER_CANDIDATE bytes per
+# integer in [1, N]: a tuple slot and an int object (measured 40 for
+# interval) plus, for random, the uniform draw and mask (measured 50 at
+# density 1); the cap admits N up to about 19M
+_SET_BYTES_CAP = 1 << 30
+_BYTES_PER_CANDIDATE = 56
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,16 @@ def generate(
     squares: {k^2}.  powers: {base^k, k >= 1}.  sums_of_powers: sums of d
     distinct powers base^{k_1} + ... + base^{k_d} with 1 <= k_1 < ... < k_d.
     interval: {1..N}.  random: each integer kept independently with the
-    given density, drawn from the shared seeding scheme.
+    given density, drawn from the shared seeding scheme.  interval and
+    random raise ResourceLimitError before allocating over the byte cap.
     """
     N = int(N)
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
+    if kind in ("interval", "random") and N * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{kind} set below {N} needs about {N * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
+        )
     if kind == "squares":
         return tuple(k * k for k in range(1, math.isqrt(N) + 1))
     if kind == "powers":
@@ -159,7 +170,8 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     counts[j] is the number of ordered alpha-tuples of elements summing to
     j, for j = 0..n; their total over all j is k^alpha with k = |freqs|.
     mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Dense integer
-    convolution; the working array is capped at 2^26 entries.
+    convolution; the working array, of length max(alpha * max(freqs), n) + 1,
+    is capped at 2^26 entries.
     """
     freqs = as_freqset(freqs)
     alpha = int(alpha)
@@ -173,11 +185,9 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     k = len(freqs)
     if k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
-    top = freqs[-1] * alpha
-    if top + 1 > _CONV_LENGTH_CAP:
-        raise ResourceLimitError(
-            f"convolution length {top + 1} exceeds cap {_CONV_LENGTH_CAP}"
-        )
+    length = max(freqs[-1] * alpha, n) + 1
+    if length > _CONV_LENGTH_CAP:
+        raise ResourceLimitError(f"convolution length {length} exceeds cap {_CONV_LENGTH_CAP}")
     base = np.zeros(freqs[-1] + 1, dtype=np.int64)
     base[np.asarray(freqs, dtype=np.int64)] = 1
     conv = base

@@ -40,7 +40,6 @@ __all__ = [
     "default_config",
     "run_experiment",
     "emit_report",
-    "parse_report",
 ]
 
 
@@ -305,6 +304,7 @@ def _run_e6(cfg: dict, streams: itertools.count) -> list:
 
 def _run_e7(cfg: dict, streams: itertools.count) -> list:
     pts = [int(N) for N in cfg["checkpoints"]]
+    _require(pts, "squares_count", cfg, ("checkpoints",))
     checks = []
     squares = generate("squares", pts[-1])
     sq_counts = mesh_counts(squares, pts)
@@ -447,51 +447,38 @@ def _run_e11(cfg: dict, streams: itertools.count) -> list:
 
 # --- registry, config handling, reports ------------------------------------------
 
-_DEFAULTS = {
-    "E1": {
-        "seed": 0,
-        "n": 1_000_000,
-        "ps": [1.2, 1.5, 1.8, 2.0],
-        "stability_radii": [0.5, 1.0, 2.0],
-    },
-    "E2": {"seed": 0, "suite_size": 20, "trials": 500, "p1": 1.5, "p2": 2.0, "median_cap": 1.5},
-    "E3": {"seed": 0, "instances": 20, "trials": 2000, "p": 1.5, "band": 10.0},
-    "E4": {"seed": 0, "suite_size": 10, "trials": 800, "p": 1.5},
-    "E5": {"seed": 0, "n_min": 4, "n_max": 12, "p": 1.5, "trials": 2000, "band": 3.0},
-    "E6": {"seed": 0, "instances": 30, "universe": 60, "p": 1.5, "trials": 600, "band": 10.0},
-    "E7": {
-        "seed": 0,
-        "checkpoints": [10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8],
-        "p": 1.5,
-        "q": 8.0,
-    },
-    "E8": {"seed": 0},
-    "E9": {"seed": 0, "p": 1.5, "s": 4.0 / 3.0, "size_min": 4, "size_max": 16, "trials": 300, "band": 10.0},
-    "E10": {"seed": 0, "p": 1.5, "q": 4.0 / 3.0, "size_min": 4, "size_max": 16, "band": 4.0},
-    "E11": {"seed": 0, "alpha": 2, "p": 1.5, "k_min": 4, "k_max": 10, "band": 4.0},
+# id -> (runner, default config); the order fixes each experiment's stream
+# block, 1000 * (index + 1), and with it every random draw
+_EXPERIMENTS = {
+    "E1": (
+        _run_e1,
+        {"seed": 0, "n": 1_000_000, "ps": [1.2, 1.5, 1.8, 2.0], "stability_radii": [0.5, 1.0, 2.0]},
+    ),
+    "E2": (_run_e2, {"seed": 0, "suite_size": 20, "trials": 500, "p1": 1.5, "p2": 2.0, "median_cap": 1.5}),
+    "E3": (_run_e3, {"seed": 0, "instances": 20, "trials": 2000, "p": 1.5, "band": 10.0}),
+    "E4": (_run_e4, {"seed": 0, "suite_size": 10, "trials": 800, "p": 1.5}),
+    "E5": (_run_e5, {"seed": 0, "n_min": 4, "n_max": 12, "p": 1.5, "trials": 2000, "band": 3.0}),
+    "E6": (_run_e6, {"seed": 0, "instances": 30, "universe": 60, "p": 1.5, "trials": 600, "band": 10.0}),
+    "E7": (
+        _run_e7,
+        {"seed": 0, "checkpoints": [10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8], "p": 1.5, "q": 8.0},
+    ),
+    "E8": (_run_e8, {"seed": 0}),
+    "E9": (
+        _run_e9,
+        {"seed": 0, "p": 1.5, "s": 4.0 / 3.0, "size_min": 4, "size_max": 16, "trials": 300, "band": 10.0},
+    ),
+    "E10": (_run_e10, {"seed": 0, "p": 1.5, "q": 4.0 / 3.0, "size_min": 4, "size_max": 16, "band": 4.0}),
+    "E11": (_run_e11, {"seed": 0, "alpha": 2, "p": 1.5, "k_min": 4, "k_max": 10, "band": 4.0}),
 }
 
-_RUNNERS = {
-    "E1": _run_e1,
-    "E2": _run_e2,
-    "E3": _run_e3,
-    "E4": _run_e4,
-    "E5": _run_e5,
-    "E6": _run_e6,
-    "E7": _run_e7,
-    "E8": _run_e8,
-    "E9": _run_e9,
-    "E10": _run_e10,
-    "E11": _run_e11,
-}
-
-EXPERIMENT_IDS = tuple(f"E{i}" for i in range(1, 12))
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 def default_config(exp_id: str) -> dict:
-    if exp_id not in _DEFAULTS:
+    if exp_id not in _EXPERIMENTS:
         raise DomainError(f"unknown experiment {exp_id!r}; want one of {EXPERIMENT_IDS}")
-    return json.loads(json.dumps(_DEFAULTS[exp_id]))
+    return json.loads(json.dumps(_EXPERIMENTS[exp_id][1]))
 
 
 def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
@@ -509,7 +496,7 @@ def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
     cfg["seed"] = int(cfg["seed"])
     streams = itertools.count(1000 * (EXPERIMENT_IDS.index(exp_id) + 1))
     start = time.perf_counter()
-    checks = _RUNNERS[exp_id](cfg, streams)
+    checks = _EXPERIMENTS[exp_id][0](cfg, streams)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(
         experiment_id=exp_id,
@@ -523,9 +510,9 @@ def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
 def emit_report(report: ExperimentReport, fmt: str = "json", include_meta: bool = False) -> bytes:
     """Serialize a report with stable field order.
 
-    JSON round-trips losslessly through parse_report.  Wall-clock data is
-    emitted only under include_meta, keeping default output byte-identical
-    across reruns.  CSV flattens checks to one row each.
+    Wall-clock data is emitted only under include_meta, keeping default
+    output byte-identical across reruns.  CSV flattens checks to one row
+    each.
     """
     if fmt == "json":
         obj = {
@@ -546,19 +533,3 @@ def emit_report(report: ExperimentReport, fmt: str = "json", include_meta: bool 
         return ("\n".join(lines) + "\n").encode()
     raise DomainError(f"unknown format {fmt!r}; want json or csv")
 
-
-def parse_report(data: bytes) -> ExperimentReport:
-    """Inverse of emit_report for the JSON format."""
-    obj = json.loads(data.decode())
-    checks = tuple(
-        CheckResult(c["name"], c["statistic"], c["fitted_constant"], c["passed"])
-        for c in obj["checks"]
-    )
-    meta = obj.get("meta", {})
-    return ExperimentReport(
-        experiment_id=obj["experiment_id"],
-        config=obj["config"],
-        checks=checks,
-        runtime_ms=float(meta.get("runtime_ms", 0.0)),
-        artifacts=tuple(obj.get("artifacts", ())),
-    )

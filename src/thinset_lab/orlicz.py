@@ -119,12 +119,13 @@ def luxemburg_norm(f: TrigPolynomial, phi: OrliczFunction, M: int | None = None)
     return prev
 
 
-def psi_set_norm(A, r: float, M: int | None = None) -> float:
-    """exp_type Luxemburg norm of the indicator polynomial of A."""
+def psi_set_norm(A, r: float) -> float:
+    """exp_type Luxemburg norm of the indicator polynomial of A, on the
+    adaptive grid."""
     f = TrigPolynomial.indicator(A)
     if len(f) == 0:
         return 0.0
-    return luxemburg_norm(f, OrliczFunction("exp_type", r), M)
+    return luxemburg_norm(f, OrliczFunction("exp_type", r))
 
 
 def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) -> float:

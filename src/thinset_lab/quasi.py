@@ -95,23 +95,14 @@ class QiSearchResult:
 class PartitionResult:
     """Disjoint quasi-independent subsets from partition_lemma.
 
-    Behaves as a sequence of frequency tuples; modes records whether each
-    subset came from exact or greedy extraction.
+    modes records whether each subset came from exact, budget-capped or
+    greedy extraction.
     """
 
     subsets: tuple
     modes: tuple
     window: tuple
     covered: int
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-    def __iter__(self):
-        return iter(self.subsets)
-
-    def __getitem__(self, i):
-        return self.subsets[i]
 
     def to_json_obj(self) -> dict:
         return {
@@ -120,6 +111,11 @@ class PartitionResult:
             "window": list(self.window),
             "covered": self.covered,
         }
+
+
+def _check_magnitude(A: tuple) -> None:
+    if sum(abs(g) for g in A) >= _SUM_MAGNITUDE_CAP:
+        raise ResourceLimitError("sum of |elements| too large for exact int64 sums")
 
 
 def _decode_rep(rep: int, members: tuple, positions: dict, size: int) -> list:
@@ -188,8 +184,7 @@ def is_quasi_independent(B) -> tuple:
     B = as_freqset(B)
     if len(B) > _CHECK_SIZE_CAP:
         raise ResourceLimitError(f"is_quasi_independent caps |B| at {_CHECK_SIZE_CAP}, got {len(B)}")
-    if sum(abs(g) for g in B) >= _SUM_MAGNITUDE_CAP:
-        raise ResourceLimitError("sum of |elements| too large for exact int64 sums")
+    _check_magnitude(B)
     if not B:
         return (True, None)
     positions = {g: i for i, g in enumerate(B)}
@@ -288,8 +283,7 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     results are optimal.
     """
     A = as_freqset(A)
-    if sum(abs(g) for g in A) >= _SUM_MAGNITUDE_CAP:
-        raise ResourceLimitError("sum of |elements| too large for exact int64 sums")
+    _check_magnitude(A)
     budget = int(budget)
     if budget < 1:
         raise DomainError(f"need budget >= 1, got {budget}")
@@ -353,9 +347,11 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     elements, and stop once the union covers at least |A|/2.  Every
     returned subset has size in [c/2 |A|^eps, c |A|^eps]; a smaller
     extraction means A violates the size hypothesis at these (c, epsilon)
-    and raises ExtractionError carrying the offending remainder.
+    and raises ExtractionError carrying the offending remainder.  Like the
+    checker and the search, it needs sum |A| < 2^62.
     """
     A = as_freqset(A)
+    _check_magnitude(A)
     c = float(c)
     epsilon = float(epsilon)
     if A == (0,):

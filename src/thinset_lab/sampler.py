@@ -24,6 +24,7 @@ from .errors import DomainError
 
 __all__ = [
     "DRIVER_KINDS",
+    "SEED_ENV_VAR",
     "DriverDistribution",
     "resolve_seed",
     "make_rng",

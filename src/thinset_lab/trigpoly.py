@@ -38,7 +38,8 @@ class TrigPolynomial:
 
     Construct from a dict {frequency: coefficient}, an iterable of
     (frequency, coefficient) pairs, or another TrigPolynomial.  Zero
-    coefficients are dropped; duplicate frequencies are rejected.
+    coefficients are dropped; duplicate or non-integer frequencies and
+    non-finite coefficients are rejected.
     """
 
     __slots__ = ("_freqs", "_coeffs")
@@ -55,7 +56,12 @@ class TrigPolynomial:
         freqs = []
         coeffs = []
         for g, c in items:
-            gi = int(g)
+            try:
+                gi = int(g)
+            except (TypeError, ValueError, OverflowError):
+                gi = None
+            if gi != g:
+                raise DomainError(f"term ({g!r}, {c!r}): frequency is not an integer")
             if abs(gi) >= _FREQ_LIMIT:
                 raise DomainError(f"frequency {gi} outside signed 64-bit working range")
             c = complex(c)
@@ -64,6 +70,10 @@ class TrigPolynomial:
                 coeffs.append(c)
         f = np.asarray(freqs, dtype=np.int64)
         c = np.asarray(coeffs, dtype=np.complex128)
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(f"term ({freqs[i]}, {coeffs[i]!r}): coefficient is not finite")
         order = np.argsort(f, kind="stable")
         f = f[order]
         c = c[order]
@@ -96,12 +106,6 @@ class TrigPolynomial:
             return 0
         return int(max(-self._freqs[0], self._freqs[-1]))
 
-    def coeff(self, g: int) -> complex:
-        i = int(np.searchsorted(self._freqs, int(g)))
-        if i < self._freqs.size and self._freqs[i] == int(g):
-            return complex(self._coeffs[i])
-        return 0j
-
     def terms(self) -> dict:
         return {int(g): complex(c) for g, c in zip(self._freqs, self._coeffs)}
 
@@ -121,12 +125,9 @@ class TrigPolynomial:
     def __repr__(self) -> str:
         return f"TrigPolynomial({self.terms()!r})"
 
-    def to_json_obj(self) -> list:
-        """Serialized form: list of [frequency, re, im] triples."""
-        return [[int(g), float(c.real), float(c.imag)] for g, c in zip(self._freqs, self._coeffs)]
-
     @classmethod
     def from_json_obj(cls, obj) -> "TrigPolynomial":
+        """Parse a list of [frequency, re, im] triples."""
         if not isinstance(obj, list):
             raise DomainError("polynomial JSON must be a list of [frequency, re, im]")
         pairs = []
@@ -134,7 +135,7 @@ class TrigPolynomial:
             if not (isinstance(row, (list, tuple)) and len(row) == 3):
                 raise DomainError(f"bad polynomial term {row!r}; want [frequency, re, im]")
             g, re, im = row
-            pairs.append((int(g), complex(float(re), float(im))))
+            pairs.append((g, complex(float(re), float(im))))
         return cls(pairs)
 
 

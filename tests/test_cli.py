@@ -3,15 +3,19 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thinset_lab import quasi
 from thinset_lab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -261,9 +265,10 @@ def test_qis_check_over_signed_sum_byte_cap_exits_2(capsys, monkeypatch, tmp_pat
         ("E2", "suite_size = 0", ["suite_size"]),
         ("E4", "suite_size = 0", ["suite_size"]),
         ("E5", "n_min = 9\nn_max = 4", ["n_min", "n_max"]),
+        ("E7", "checkpoints = []", ["checkpoints"]),
         ("E11", "k_min = 8\nk_max = 4", ["k_min", "k_max"]),
     ],
-    ids=["E1", "E2", "E4", "E5", "E11"],
+    ids=["E1", "E2", "E4", "E5", "E7", "E11"],
 )
 def test_run_empty_range_exits_2(capsys, tmp_path, exp_id, section, keys):
     cfg = tmp_path / "lab.ini"
@@ -272,12 +277,59 @@ def test_run_empty_range_exits_2(capsys, tmp_path, exp_id, section, keys):
     assert all(key in err for key in keys)
 
 
+def test_qis_partition_sum_magnitude_over_cap_exits_2(capsys, tmp_path):
+    # more than 25 members, so the input goes to the greedy extraction
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([2**63 + 1] + list(range(1, 40))))
+    err = assert_one_line_exit_2(capsys, "qis", "partition", str(path), "--c", "1", "--epsilon", "0.5")
+    assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "terms, needle",
+    [([[1, 1.0, 0.0], [2, math.nan, 0.0]], "not finite"), ([[1, 1.0, 0.0], [1.7, 1.0, 0.0]], "not an integer")],
+    ids=["nan_coefficient", "fractional_frequency"],
+)
+@pytest.mark.parametrize("verb", [["sup"], ["stable", "--p", "1.5", "--trials", "8"]], ids=["sup", "stable"])
+def test_norm_rejects_bad_terms_exits_2(capsys, poly_file, terms, needle, verb):
+    path = poly_file(terms)
+    assert needle in assert_one_line_exit_2(capsys, "norm", verb[0], path, *verb[1:])
+
+
+def test_missing_or_unwritable_files_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert missing in assert_one_line_exit_2(capsys, "qis", "check", missing)
+    assert missing in assert_one_line_exit_2(capsys, "norm", "sup", missing)
+    assert missing in assert_one_line_exit_2(capsys, "run", "E10", "--config", missing)
+    out = str(tmp_path / "no_such_dir" / "report.json")
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[E10]\nsize_max = 5\n")
+    assert out in assert_one_line_exit_2(capsys, "run", "E10", "--config", str(cfg), "--out", out)
+
+
+def test_sets_ralpha_length_over_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text("[1, 2, 3]")
+    err = assert_one_line_exit_2(capsys, "sets", "ralpha", str(path), "--alpha", "2", "--n", str(10**11))
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("kind, extra", [("interval", []), ("random", ["--density", "0.5"])], ids=["interval", "random"])
+def test_sets_generate_over_byte_cap_exits_2(capsys, kind, extra):
+    err = assert_one_line_exit_2(capsys, "sets", "generate", "--kind", kind, "--limit", str(10**11), *extra)
+    assert "cap" in err
+
+
 def test_console_script_entry_point():
+    # run from a checkout that is not installed: the child needs src on its path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "thinset_lab", "exponents", "--p", "1.5", "--q", "1.2"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)

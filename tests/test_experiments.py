@@ -2,20 +2,17 @@
 
 import json
 
-import numpy as np
 import pytest
 
 import thinset_lab.experiments as experiments
 from thinset_lab import (
     EXPERIMENT_IDS,
-    CheckResult,
     DomainError,
     ExperimentReport,
     NormEstimate,
     TrigPolynomial,
     default_config,
     emit_report,
-    parse_report,
     run_experiment,
     sz_lower,
 )
@@ -78,28 +75,6 @@ def test_empty_checks_document_is_valid():
     report = ExperimentReport("E1", {"seed": 0}, (), 1.0, ())
     assert json.loads(emit_report(report))["checks"] == []
     assert emit_report(report, fmt="csv").decode().strip().count("\n") == 0
-
-
-def test_parse_emit_round_trip_on_random_reports():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        checks = tuple(
-            CheckResult(
-                name=f"check_{i}",
-                statistic=float(rng.standard_normal()),
-                fitted_constant=float(rng.uniform(0.1, 9.0)),
-                passed=bool(rng.integers(0, 2)),
-            )
-            for i in range(int(rng.integers(0, 6)))
-        )
-        report = ExperimentReport(
-            experiment_id=f"E{int(rng.integers(1, 12))}",
-            config={"seed": int(rng.integers(0, 100)), "trials": int(rng.integers(1, 50))},
-            checks=checks,
-            runtime_ms=float(rng.uniform(0.1, 500.0)),
-            artifacts=(),
-        )
-        assert parse_report(emit_report(report, include_meta=True)) == report
 
 
 def test_reports_byte_identical_across_reruns():

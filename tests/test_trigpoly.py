@@ -37,7 +37,7 @@ def test_construct_from_dict_pairs_and_copy():
     assert f == g
     assert TrigPolynomial(f) == f
     assert list(f.freqs) == [-1, 3]
-    assert f.coeff(3) == 1.0 and f.coeff(-1) == 2j and f.coeff(7) == 0j
+    assert f.terms() == {-1: 2j, 3: 1.0}
 
 
 def test_zero_coefficients_dropped_and_norms_unchanged():
@@ -54,6 +54,22 @@ def test_duplicate_frequencies_rejected():
 def test_frequency_magnitude_capped():
     with pytest.raises(DomainError):
         TrigPolynomial({1 << 62: 1.0})
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])
+def test_non_finite_coefficients_rejected(coeff):
+    with pytest.raises(DomainError, match=r"term \(5, .*not finite"):
+        TrigPolynomial({1: 1.0, 5: coeff})
+
+
+@pytest.mark.parametrize("freq", [1.7, -0.5, math.nan, math.inf, "3"])
+def test_non_integer_frequencies_rejected(freq):
+    with pytest.raises(DomainError, match="frequency is not an integer"):
+        TrigPolynomial([(2, 1.0), (freq, 1.0)])
+    with pytest.raises(DomainError, match="frequency is not an integer"):
+        TrigPolynomial.from_json_obj([[2, 1.0, 0.0], [freq, 1.0, 0.0]])
+    # integral floats and numpy integers still pass
+    assert TrigPolynomial([(3.0, 1.0), (np.int64(-2), 2.0)]).terms() == {-2: 2.0, 3: 1.0}
 
 
 def test_empty_polynomial_degree_and_norms():
@@ -73,7 +89,7 @@ def test_coefficient_arrays_read_only():
 
 def test_json_round_trip():
     f = TrigPolynomial({4: 1 + 2j, -7: 0.5})
-    assert TrigPolynomial.from_json_obj(f.to_json_obj()) == f
+    assert TrigPolynomial.from_json_obj([[-7, 0.5, 0.0], [4, 1.0, 2.0]]) == f
     with pytest.raises(DomainError):
         TrigPolynomial.from_json_obj([[1, 2]])
     with pytest.raises(DomainError):
