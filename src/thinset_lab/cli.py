@@ -23,12 +23,12 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import DomainError
+from .errors import DomainError, ExtractionError, FitError, InfeasibleError, ResourceLimitError
 from .examples_sets import GENERATOR_KINDS, fit_mesh_exponent, generate, mesh_counts, r_alpha
 from .exponents import derive_exponents, orlicz_params
 from .experiments import EXPERIMENT_IDS, emit_report, run_experiment
 from .orlicz import OrliczFunction, log_type_functional, luxemburg_norm
-from .quasi import DEFAULT_BUDGET, is_quasi_independent, max_quasi_independent, partition_lemma
+from .quasi import DEFAULT_BUDGET, as_freqset, is_quasi_independent, max_quasi_independent, partition_lemma
 from .sampler import DRIVER_KINDS, DriverDistribution, resolve_seed
 from .stable_norm import estimate_bracket
 from .trigpoly import TrigPolynomial, fq_norm, lorentz_norms, lq_function_norm, sup_norm
@@ -36,29 +36,37 @@ from .trigpoly import TrigPolynomial, fq_norm, lorentz_norms, lq_function_norm, 
 __all__ = ["main"]
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | None) -> str:
     try:
+        if path is None:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read {path or 'stdin'} as UTF-8: {exc.reason}") from exc
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    return _read_text(path)
+def _load_json(path: str | None):
+    """The JSON value in the file at path, or on stdin for None or "-"."""
+    if path == "-":
+        path = None
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"{path or 'stdin'} is not valid JSON: {exc}") from exc
 
 
 def _load_poly(path: str | None) -> TrigPolynomial:
-    return TrigPolynomial.from_json_obj(json.loads(_read_input(path)))
+    return TrigPolynomial.from_json_obj(_load_json(path))
 
 
-def _load_intset(path: str | None) -> list:
-    obj = json.loads(_read_input(path))
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+def _load_intset(path: str | None) -> tuple:
+    obj = _load_json(path)
+    if not isinstance(obj, list):
         raise DomainError("expected a JSON list of integers")
-    return obj
+    return as_freqset(obj)
 
 
 def _emit(obj) -> None:
@@ -68,7 +76,7 @@ def _emit(obj) -> None:
 def _coerce(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return raw
 
 
@@ -76,13 +84,22 @@ def _load_config(path: str | None, exp_id: str) -> dict:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    parser.read_string(_read_text(path), source=path)
     merged: dict = {}
-    for section in ("common", exp_id):
-        if parser.has_section(section):
-            for key, raw in parser.items(section):
-                merged[key] = _coerce(raw)
+    try:
+        parser.read_string(_read_text(path), source=path)
+        for section in ("common", exp_id):
+            if parser.has_section(section):
+                for key, raw in parser.items(section):
+                    merged[key] = _coerce(raw)
+    except configparser.Error as exc:
+        raise DomainError(" ".join(str(exc).split())) from exc
     return merged
+
+
+def _file_verb(sub, name: str, help: str) -> argparse.ArgumentParser:
+    verb = sub.add_parser(name, help=help)
+    verb.add_argument("file", nargs="?")
+    return verb
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,25 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="norms of a JSON polynomial")
     norm_sub = p_norm.add_subparsers(dest="norm_kind", required=True)
 
-    n_sup = norm_sub.add_parser("sup", help="certified sup norm")
-    n_sup.add_argument("file", nargs="?")
+    n_sup = _file_verb(norm_sub, "sup", "certified sup norm")
     n_sup.add_argument("--rel-tol", type=float, default=1e-9)
 
-    n_fq = norm_sub.add_parser("fq", help="coefficient l_q norm")
-    n_fq.add_argument("file", nargs="?")
+    n_fq = _file_verb(norm_sub, "fq", "coefficient l_q norm")
     n_fq.add_argument("--q", type=float, required=True)
 
-    n_lor = norm_sub.add_parser("lorentz", help="Lorentz coefficient norms")
-    n_lor.add_argument("file", nargs="?")
+    n_lor = _file_verb(norm_sub, "lorentz", "Lorentz coefficient norms")
     n_lor.add_argument("--q", type=float, required=True)
 
-    n_lq = norm_sub.add_parser("lq", help="grid L^q function norm")
-    n_lq.add_argument("file", nargs="?")
+    n_lq = _file_verb(norm_sub, "lq", "grid L^q function norm")
     n_lq.add_argument("--q", type=float, required=True)
     n_lq.add_argument("--grid", type=int)
 
-    n_orl = norm_sub.add_parser("orlicz", help="Luxemburg norm")
-    n_orl.add_argument("file", nargs="?")
+    n_orl = _file_verb(norm_sub, "orlicz", "Luxemburg norm")
     n_orl.add_argument("--family", choices=["psi", "phi"], required=True)
     n_orl.add_argument("--r", type=float, required=True)
     n_orl.add_argument("--grid", type=int)
@@ -125,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="phi family: the explicit integral functional instead of the gauge norm",
     )
 
-    n_st = norm_sub.add_parser("stable", help="Monte Carlo randomized sup norm")
-    n_st.add_argument("file", nargs="?")
+    n_st = _file_verb(norm_sub, "stable", "Monte Carlo randomized sup norm")
     n_st.add_argument("--p", type=float)
     n_st.add_argument("--trials", type=int, required=True)
     n_st.add_argument("--groups", type=int)
@@ -137,15 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qis = sub.add_parser("qis", help="quasi-independence tools on a JSON integer list")
     qis_sub = p_qis.add_subparsers(dest="qis_kind", required=True)
 
-    q_check = qis_sub.add_parser("check", help="test quasi-independence, with witness")
-    q_check.add_argument("file", nargs="?")
+    _file_verb(qis_sub, "check", "test quasi-independence, with witness")
 
-    q_max = qis_sub.add_parser("max", help="largest quasi-independent subset")
-    q_max.add_argument("file", nargs="?")
+    q_max = _file_verb(qis_sub, "max", "largest quasi-independent subset")
     q_max.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    q_part = qis_sub.add_parser("partition", help="disjoint quasi-independent subsets")
-    q_part.add_argument("file", nargs="?")
+    q_part = _file_verb(qis_sub, "partition", "disjoint quasi-independent subsets")
     q_part.add_argument("--c", type=float, required=True)
     q_part.add_argument("--epsilon", type=float, required=True)
     q_part.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -161,13 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s_gen.add_argument("--density", type=float)
     s_gen.add_argument("--seed", type=int)
 
-    s_mesh = sets_sub.add_parser("mesh", help="counts below checkpoints, optional growth fit")
-    s_mesh.add_argument("file", nargs="?")
+    s_mesh = _file_verb(sets_sub, "mesh", "counts below checkpoints, optional growth fit")
     s_mesh.add_argument("--checkpoints", required=True, help="comma-separated increasing integers")
     s_mesh.add_argument("--fit", choices=["power_log", "polylog"])
 
-    s_ra = sets_sub.add_parser("ralpha", help="representation counts of alpha-fold sums")
-    s_ra.add_argument("file", nargs="?")
+    s_ra = _file_verb(sets_sub, "ralpha", "representation counts of alpha-fold sums")
     s_ra.add_argument("--alpha", type=int, required=True)
     s_ra.add_argument("--n", type=int, required=True)
 
@@ -254,7 +260,10 @@ def _cmd_sets(args) -> int:
         _emit({"kind": args.kind, "limit": args.limit, "elements": list(out)})
     elif args.sets_kind == "mesh":
         A = _load_intset(args.file)
-        pts = [int(x) for x in args.checkpoints.split(",")]
+        try:
+            pts = [int(x) for x in args.checkpoints.split(",")]
+        except ValueError:
+            raise DomainError(f"--checkpoints wants comma-separated integers, got {args.checkpoints!r}") from None
         counts = mesh_counts(A, pts)
         obj = {"checkpoints": pts, "counts": counts}
         if args.fit:
@@ -298,7 +307,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (DomainError, InfeasibleError, ResourceLimitError, ExtractionError, FitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -68,15 +68,16 @@ def generate(
     squares: {k^2}.  powers: {base^k, k >= 1}.  sums_of_powers: sums of d
     distinct powers base^{k_1} + ... + base^{k_d} with 1 <= k_1 < ... < k_d.
     interval: {1..N}.  random: each integer kept independently with the
-    given density, drawn from the shared seeding scheme.  interval and
-    random raise ResourceLimitError before allocating over the byte cap.
+    given density, drawn from the shared seeding scheme.  interval, random
+    and squares raise ResourceLimitError before allocating over the byte cap.
     """
     N = int(N)
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if kind in ("interval", "random") and N * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
+    candidates = N if kind in ("interval", "random") else math.isqrt(N) if kind == "squares" else 0
+    if candidates * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
         raise ResourceLimitError(
-            f"{kind} set below {N} needs about {N * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
+            f"{kind} set below {N} needs about {candidates * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
         )
     if kind == "squares":
         return tuple(k * k for k in range(1, math.isqrt(N) + 1))
@@ -183,7 +184,7 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     if not freqs or freqs[0] < 0:
         raise DomainError("r_alpha needs a set of nonnegative integers")
     k = len(freqs)
-    if k**alpha >= 1 << 62:
+    if (k > 1 and alpha >= 62) or k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
     length = max(freqs[-1] * alpha, n) + 1
     if length > _CONV_LENGTH_CAP:

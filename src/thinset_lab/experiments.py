@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,14 +51,6 @@ class CheckResult:
     fitted_constant: float
     passed: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "fitted_constant": self.fitted_constant,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -72,23 +65,12 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-def _require(values: list, name: str, cfg: dict, keys: tuple) -> None:
-    if not values:
-        got = ", ".join(f"{k}={cfg[k]!r}" for k in keys)
-        raise DomainError(f"{name} needs at least one instance; config has {got}")
-
-
-def _band_check(name: str, ratios: list, cfg: dict, keys: tuple, fitted=max) -> CheckResult:
-    """Passes when max/min of the positive ratios is within cfg["band"].
-
-    The statistic is inf when some ratio is not positive; the fitted
-    constant is fitted(ratios).  An empty ratio list is a config error
-    naming the keys that sized it.
-    """
-    _require(ratios, name, cfg, keys)
+def _band_check(name: str, ratios: list, band: float, fitted=max) -> CheckResult:
+    """Passes when max/min of the positive ratios is within band; the statistic
+    is inf when some ratio is not positive, the fitted constant fitted(ratios)."""
     lo, hi = min(ratios), max(ratios)
-    band = math.inf if lo <= 0 else hi / lo
-    return CheckResult(name, band, fitted(ratios), band <= float(cfg["band"]))
+    stat = math.inf if lo <= 0 else hi / lo
+    return CheckResult(name, stat, fitted(ratios), stat <= band)
 
 
 def _lacunary(n: int) -> list:
@@ -104,16 +86,13 @@ def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
 
 
 def _run_e1(cfg: dict, streams: itertools.count) -> list:
-    n = int(cfg["n"])
+    n = cfg["n"]
     tol = 4.0 / math.sqrt(n)
     ring = [complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)]
     checks = []
     for p in cfg["ps"]:
-        p = float(p)
-        d = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=next(streams))
-        z1 = sample_driver(d, n, trial_index=0)
-        d2 = DriverDistribution("p_stable", p=p, seed=cfg["seed"], stream_id=next(streams))
-        z2 = sample_driver(d2, n, trial_index=0)
+        z1 = sample_driver(_stable_driver(p, cfg["seed"], next(streams)), n)
+        z2 = sample_driver(_stable_driver(p, cfg["seed"], next(streams)), n)
 
         def emp_cf(z: complex, samples: np.ndarray) -> complex:
             angle = z.real * samples.real + z.imag * samples.imag
@@ -124,12 +103,8 @@ def _run_e1(cfg: dict, streams: itertools.count) -> list:
             checks.append(CheckResult(f"cf_p{p}_ring{k}", dev, dev * math.sqrt(n), dev < tol))
         mixed = (z1 + z2) / 2.0 ** (1.0 / p)
         for radius in cfg["stability_radii"]:
-            radius = float(radius)
             dev = abs(emp_cf(complex(radius, 0.0), mixed) - math.exp(-radius**p))
-            checks.append(
-                CheckResult(f"stability_p{p}_r{radius}", dev, dev * math.sqrt(n), dev < tol)
-            )
-    _require(checks, "cf_ring", cfg, ("ps",))
+            checks.append(CheckResult(f"stability_p{p}_r{radius}", dev, dev * math.sqrt(n), dev < tol))
     return checks
 
 
@@ -147,13 +122,12 @@ def _random_poly(rng: np.random.Generator, max_freq: int, size_lo: int, size_hi:
 
 
 def _run_e2(cfg: dict, streams: itertools.count) -> list:
-    p1, p2 = float(cfg["p1"]), float(cfg["p2"])
+    p1, p2, trials = cfg["p1"], cfg["p2"], cfg["trials"]
     if not p1 < p2:
-        raise DomainError(f"need p1 < p2, got {p1}, {p2}")
-    trials = int(cfg["trials"])
+        raise DomainError(f"E2 config: want p1 < p2, got p1={p1}, p2={p2}")
     checks = []
     ratios = []
-    for i in range(int(cfg["suite_size"])):
+    for i in range(cfg["suite_size"]):
         rng = make_rng(cfg["seed"], next(streams))
         f = _random_poly(rng, 200, 4, 12)
         e1 = estimate_bracket(f, _stable_driver(p1, cfg["seed"], next(streams)), trials)
@@ -163,9 +137,8 @@ def _run_e2(cfg: dict, streams: itertools.count) -> list:
         checks.append(
             CheckResult(f"pairwise_{i}", e2.value / bound, e2.value / e1.value, e2.value <= bound)
         )
-    _require(ratios, "median_ratio", cfg, ("suite_size",))
     med = float(np.median(ratios))
-    checks.append(CheckResult("median_ratio", med, med, med <= float(cfg["median_cap"])))
+    checks.append(CheckResult("median_ratio", med, med, med <= cfg["median_cap"]))
     return checks
 
 
@@ -173,11 +146,10 @@ def _run_e2(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e3(cfg: dict, streams: itertools.count) -> list:
-    p = float(cfg["p"])
-    trials = int(cfg["trials"])
+    p, trials = cfg["p"], cfg["trials"]
     checks = []
     ratios = []
-    for i in range(int(cfg["instances"])):
+    for i in range(cfg["instances"]):
         rng = make_rng(cfg["seed"], next(streams))
         n_blocks = int(rng.integers(2, 5))
         terms: dict = {}
@@ -199,7 +171,7 @@ def _run_e3(cfg: dict, streams: itertools.count) -> list:
         ratio = part_sum ** (1.0 / p) / whole_est.value
         ratios.append(ratio)
         checks.append(CheckResult(f"instance_{i}", ratio, ratio, ratio > 0))
-    checks.append(_band_check("ratio_band", ratios, cfg, ("instances",)))
+    checks.append(_band_check("ratio_band", ratios, cfg["band"]))
     return checks
 
 
@@ -207,10 +179,9 @@ def _run_e3(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e4(cfg: dict, streams: itertools.count) -> list:
-    p = float(cfg["p"])
-    trials = int(cfg["trials"])
+    p, trials = cfg["p"], cfg["trials"]
     checks = []
-    for i in range(int(cfg["suite_size"])):
+    for i in range(cfg["suite_size"]):
         rng = make_rng(cfg["seed"], next(streams))
         f = _random_poly(rng, 200, 4, 12)
         stream = next(streams)
@@ -231,7 +202,6 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
             est = estimate_bracket(g, _stable_driver(p, cfg["seed"], stream), trials)
             ratio = est.value / base.value
             checks.append(CheckResult(f"contract_{i}_{name}", ratio, cap, ratio <= cap))
-    _require(checks, "contract", cfg, ("suite_size",))
     return checks
 
 
@@ -248,9 +218,8 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e5(cfg: dict, streams: itertools.count) -> list:
-    p = float(cfg["p"])
-    trials = int(cfg["trials"])
-    ns = range(int(cfg["n_min"]), int(cfg["n_max"]) + 1)
+    p, trials = cfg["p"], cfg["trials"]
+    ns = range(cfg["n_min"], cfg["n_max"] + 1)
     upper_ratios = []
     interval_ratios = []
     checks = []
@@ -268,9 +237,8 @@ def _run_e5(cfg: dict, streams: itertools.count) -> list:
         lo = sz_lower(f, p)
         interval_ratios.append(est.value / lo)
         checks.append(CheckResult(f"interval_lower_ratio_n{n}", est.value / lo, lo, True))
-    keys = ("n_min", "n_max")
-    checks.append(_band_check("upper_band", upper_ratios, cfg, keys))
-    checks.append(_band_check("lower_band", interval_ratios, cfg, keys, fitted=min))
+    checks.append(_band_check("upper_band", upper_ratios, cfg["band"]))
+    checks.append(_band_check("lower_band", interval_ratios, cfg["band"], fitted=min))
     return checks
 
 
@@ -278,13 +246,12 @@ def _run_e5(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e6(cfg: dict, streams: itertools.count) -> list:
-    p = float(cfg["p"])
+    p, trials = cfg["p"], cfg["trials"]
     p_conj = conjugate(p)
-    trials = int(cfg["trials"])
-    universe = np.arange(1, int(cfg["universe"]) + 1)
+    universe = np.arange(1, cfg["universe"] + 1)
     checks = []
     ratios = []
-    for i in range(int(cfg["instances"])):
+    for i in range(cfg["instances"]):
         rng = make_rng(cfg["seed"], next(streams))
         size = int(rng.integers(4, 13))
         A = sorted(int(g) for g in rng.choice(universe, size=size, replace=False))
@@ -295,7 +262,7 @@ def _run_e6(cfg: dict, streams: itertools.count) -> list:
         ratio = qres.q_value / comparator
         ratios.append(ratio)
         checks.append(CheckResult(f"probe_instance_{i}", ratio, comparator, qres.exact))
-    checks.append(_band_check("probe_ratio_band", ratios, cfg, ("instances",)))
+    checks.append(_band_check("probe_ratio_band", ratios, cfg["band"]))
     return checks
 
 
@@ -303,8 +270,7 @@ def _run_e6(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e7(cfg: dict, streams: itertools.count) -> list:
-    pts = [int(N) for N in cfg["checkpoints"]]
-    _require(pts, "squares_count", cfg, ("checkpoints",))
+    pts = cfg["checkpoints"]
     checks = []
     squares = generate("squares", pts[-1])
     sq_counts = mesh_counts(squares, pts)
@@ -322,8 +288,7 @@ def _run_e7(cfg: dict, streams: itertools.count) -> list:
     checks.append(
         CheckResult("powers2_polylog_exponent", exp_pw, resid_pw, abs(exp_pw - 1.0) <= 0.15)
     )
-    p, q = float(cfg["p"]), float(cfg["q"])
-    threshold = conjugate(p) / q
+    threshold = conjugate(cfg["p"]) / cfg["q"]
     checks.append(
         CheckResult("squares_exceed_pconj_over_q", exp_sq, threshold, exp_sq > threshold)
     )
@@ -378,20 +343,18 @@ def _run_e8(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e9(cfg: dict, streams: itertools.count) -> list:
-    p = float(cfg["p"])
-    s = float(cfg["s"])
-    q = invert_for_q(p, s)
-    trials = int(cfg["trials"])
+    p, trials = cfg["p"], cfg["trials"]
+    q = invert_for_q(p, cfg["s"])
     checks = []
     ratios = []
-    for n in range(int(cfg["size_min"]), int(cfg["size_max"]) + 1):
+    for n in range(cfg["size_min"], cfg["size_max"] + 1):
         f = TrigPolynomial.indicator(_lacunary(n))
         l_q1, _ = lorentz_norms(f, q)
         est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
         ratio = l_q1 / est.value
         ratios.append(ratio)
         checks.append(CheckResult(f"lorentz_ratio_n{n}", ratio, l_q1, True))
-    checks.append(_band_check("lorentz_band", ratios, cfg, ("size_min", "size_max")))
+    checks.append(_band_check("lorentz_band", ratios, cfg["band"]))
     return checks
 
 
@@ -399,17 +362,16 @@ def _run_e9(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e10(cfg: dict, streams: itertools.count) -> list:
-    p, q = float(cfg["p"]), float(cfg["q"])
-    table = derive_exponents(p, q)
+    table = derive_exponents(cfg["p"], cfg["q"])
     r = table.p_conj
     checks = []
     ratios = []
-    for n in range(int(cfg["size_min"]), int(cfg["size_max"]) + 1):
+    for n in range(cfg["size_min"], cfg["size_max"] + 1):
         psi = psi_set_norm(_lacunary(n), r)
         ratio = psi / n ** (1.0 / table.alpha)
         ratios.append(ratio)
         checks.append(CheckResult(f"psi_ratio_n{n}", ratio, psi, True))
-    checks.append(_band_check("psi_band", ratios, cfg, ("size_min", "size_max")))
+    checks.append(_band_check("psi_band", ratios, cfg["band"]))
     return checks
 
 
@@ -417,12 +379,11 @@ def _run_e10(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e11(cfg: dict, streams: itertools.count) -> list:
-    alpha = int(cfg["alpha"])
-    p = float(cfg["p"])
+    alpha, p = cfg["alpha"], cfg["p"]
     growth = (2.0 - p) / (p - 1.0)
     checks = []
     ratios = []
-    for k in range(int(cfg["k_min"]), int(cfg["k_max"]) + 1):
+    for k in range(cfg["k_min"], cfg["k_max"] + 1):
         A = generate("powers", 2**k, base=2)
         n = alpha * (2**k)
         rc = r_alpha(A, alpha, n)
@@ -430,10 +391,9 @@ def _run_e11(cfg: dict, streams: itertools.count) -> list:
         ratio = rc.mean_square / (n**growth * math.log(n) ** (2 * alpha))
         ratios.append(ratio)
         checks.append(CheckResult(f"ralpha_ratio_k{k}", ratio, rc.mean_square, total_ok))
-    _require(ratios, "ralpha_band", cfg, ("k_min", "k_max"))
     grow = max(ratios) / ratios[0]
-    checks.append(CheckResult("ralpha_band", grow, max(ratios), grow <= float(cfg["band"])))
-    k = int(cfg["k_max"])
+    checks.append(CheckResult("ralpha_band", grow, max(ratios), grow <= cfg["band"]))
+    k = cfg["k_max"]
     interval = generate("interval", k)
     powers = generate("powers", 2**k, base=2)
     n = alpha * k
@@ -474,6 +434,19 @@ _EXPERIMENTS = {
 
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
+# key -> (test, text) for the values that would crash a run or void its checks
+_RANGES = {
+    **dict.fromkeys(("seed", "stability_radii"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(
+        ("n", "suite_size", "trials", "instances", "checkpoints", "n_min", "size_min", "k_min", "band"),
+        (lambda v: v >= 1, ">= 1"),
+    ),
+    **dict.fromkeys(("p", "p1", "p2", "ps"), (lambda v: 1 < v <= 2, "in (1, 2]")),
+    **dict.fromkeys(("median_cap", "q"), (lambda v: v > 0, "> 0")),
+    "universe": (lambda v: v >= 12, ">= 12"),  # E6 draws sets of up to 12 elements from it
+}
+_ORDERED_PAIRS = (("n_min", "n_max"), ("size_min", "size_max"), ("k_min", "k_max"))
+
 
 def default_config(exp_id: str) -> dict:
     if exp_id not in _EXPERIMENTS:
@@ -481,19 +454,54 @@ def default_config(exp_id: str) -> dict:
     return json.loads(json.dumps(_EXPERIMENTS[exp_id][1]))
 
 
-def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
-    """Run one named experiment; config keys override the defaults.
+def _number(val, kind: type):
+    """val as a finite int or float (kind), or None; numeric strings are parsed, bools are not numbers."""
+    if isinstance(val, str):
+        try:
+            val = json.loads(val)
+        except (ValueError, RecursionError):
+            return None
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        return None
+    if kind is int and isinstance(val, numbers.Integral):
+        return int(val)
+    x = float(val) if abs(val) < 1e308 else math.inf  # float() overflows on huge ints
+    return kind(x) if math.isfinite(x) and (kind is float or x.is_integer()) else None
 
-    All randomness derives from the effective config's seed; stream ids
-    live in the experiment's block (index * 1000) and are allocated in
-    fixed code order, so identical configs give identical reports.
-    """
+
+def _checked_config(exp_id: str, config: dict | None) -> dict:
+    """The defaults with each override coerced to its default's type and
+    range-checked; a bad value raises DomainError naming the key."""
     cfg = default_config(exp_id)
     for key, val in (config or {}).items():
         if key not in cfg:
             raise DomainError(f"unknown config key {key!r} for {exp_id}")
-        cfg[key] = val
-    cfg["seed"] = int(cfg["seed"])
+        listed = isinstance(cfg[key], list)
+        kind = type(cfg[key][0] if listed else cfg[key])
+        test, span = _RANGES.get(key, (None, ""))
+        items = val if listed else [val]
+        got = [_number(v, kind) for v in items] if isinstance(items, list) else []
+        if not got or None in got or (test and not all(map(test, got))):
+            noun = "int" if kind is int else "finite number"
+            want = f"a non-empty list of {noun}s {span}" if listed else f"{noun} {span}"
+            raise DomainError(f"{exp_id} config {key}: want {want.rstrip()}, got {val!r}")
+        cfg[key] = got if listed else got[0]
+    for lo, hi in _ORDERED_PAIRS:
+        if lo in cfg and cfg[lo] > cfg[hi]:
+            raise DomainError(f"{exp_id} config: want {lo} <= {hi}, got {lo}={cfg[lo]}, {hi}={cfg[hi]}")
+    return cfg
+
+
+def run_experiment(exp_id: str, config: dict | None = None) -> ExperimentReport:
+    """Run one named experiment; config keys override the defaults.
+
+    An override takes its default's type and must lie in its range, else
+    DomainError names the key.  All randomness derives from the effective
+    config's seed; stream ids live in the experiment's block (index * 1000)
+    and are allocated in fixed code order, so identical configs give
+    identical reports.
+    """
+    cfg = _checked_config(exp_id, config)
     streams = itertools.count(1000 * (EXPERIMENT_IDS.index(exp_id) + 1))
     start = time.perf_counter()
     checks = _EXPERIMENTS[exp_id][0](cfg, streams)
@@ -518,7 +526,7 @@ def emit_report(report: ExperimentReport, fmt: str = "json", include_meta: bool 
         obj = {
             "experiment_id": report.experiment_id,
             "config": report.config,
-            "checks": [c.to_json_obj() for c in report.checks],
+            "checks": [asdict(c) for c in report.checks],
             "artifacts": list(report.artifacts),
         }
         if include_meta:

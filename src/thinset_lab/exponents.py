@@ -128,11 +128,11 @@ def invert_for_p(q: float, s: float) -> float:
 
 
 def orlicz_params(s: float, r: float) -> OrliczParams:
-    """rho = (2-s)/(s-1) and p_tilde = 2r/(2r - rho) for r >= max(2, rho)."""
+    """rho = (2-s)/(s-1) and p_tilde = 2r/(2r - rho) for finite r >= max(2, rho)."""
     if not (1.0 < s < 2.0):
         raise DomainError(f"need 1 < s < 2, got s={s}")
     rho = (2.0 - s) / (s - 1.0)
-    if r < max(2.0, rho) - 1e-12:
-        raise DomainError(f"need r >= max(2, rho) = {max(2.0, rho)}, got r={r}")
+    if not max(2.0, rho) - 1e-12 <= r < INF:
+        raise DomainError(f"need finite r >= max(2, rho) = {max(2.0, rho)}, got r={r}")
     p_tilde = 2.0 * r / (2.0 * r - rho)
     return OrliczParams(s=s, r=r, rho=rho, p_tilde=p_tilde)

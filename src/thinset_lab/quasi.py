@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExtractionError, ResourceLimitError
+from .trigpoly import _integral
 
 __all__ = [
     "QiSearchResult",
@@ -61,8 +62,12 @@ DEFAULT_BUDGET = 2_000_000
 
 
 def as_freqset(elements) -> tuple:
-    """Sorted tuple of distinct ints; duplicates are a domain error."""
-    out = tuple(sorted(int(g) for g in elements))
+    """Sorted tuple of distinct ints; a bool, a g with int(g) != g or a duplicate is a domain error."""
+    elements = list(elements)
+    ints = [_integral(g) for g in elements]
+    if None in ints:
+        raise DomainError(f"want a set of integers, got element {elements[ints.index(None)]!r}")
+    out = tuple(sorted(ints))
     for a, b in zip(out, out[1:]):
         if a == b:
             raise DomainError(f"duplicate element {a}")
@@ -357,8 +362,8 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     if A == (0,):
         raise DomainError("partition_lemma is undefined for A = {0}")
     hi_real = c * len(A) ** epsilon
-    if not hi_real >= 2.0:
-        raise DomainError(f"need c*|A|^epsilon >= 2, got {hi_real}")
+    if not 2.0 <= hi_real < math.inf:
+        raise DomainError(f"need finite c*|A|^epsilon >= 2, got {hi_real}")
     lo = hi_real / 2.0
     hi = math.floor(hi_real)
 

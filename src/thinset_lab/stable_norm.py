@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .exponents import conjugate
-from .sampler import DriverDistribution, sample_driver
+from .sampler import _DRAW_BYTES_CAP, DriverDistribution, sample_driver
 from .trigpoly import TrigPolynomial, sup_norm_rows
 
 __all__ = [
@@ -117,6 +117,8 @@ def estimate_bracket(
         )
 
     n = len(f)
+    if 16 * trials * n > _DRAW_BYTES_CAP:
+        raise ResourceLimitError(f"{trials} x {n} driver rows need {16 * trials * n} bytes, over the {_DRAW_BYTES_CAP}-byte cap")
     rows = np.empty((trials, n), dtype=np.complex128)
     for i in range(trials):
         rows[i] = sample_driver(d, n, trial_index=i) * f.coeffs

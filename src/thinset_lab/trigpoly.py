@@ -33,6 +33,15 @@ _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay ex
 _GRID_BYTES_CAP = 1 << 28
 
 
+def _integral(g):
+    """int(g) when g equals an integer and is not a bool, else None."""
+    try:
+        gi = int(g)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return gi if gi == g and not isinstance(g, bool) else None
+
+
 class TrigPolynomial:
     """Immutable sparse trigonometric polynomial.
 
@@ -56,11 +65,8 @@ class TrigPolynomial:
         freqs = []
         coeffs = []
         for g, c in items:
-            try:
-                gi = int(g)
-            except (TypeError, ValueError, OverflowError):
-                gi = None
-            if gi != g:
+            gi = _integral(g)
+            if gi is None:
                 raise DomainError(f"term ({g!r}, {c!r}): frequency is not an integer")
             if abs(gi) >= _FREQ_LIMIT:
                 raise DomainError(f"frequency {gi} outside signed 64-bit working range")
@@ -127,7 +133,7 @@ class TrigPolynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "TrigPolynomial":
-        """Parse a list of [frequency, re, im] triples."""
+        """Parse a list of [frequency, re, im] triples of numbers."""
         if not isinstance(obj, list):
             raise DomainError("polynomial JSON must be a list of [frequency, re, im]")
         pairs = []
@@ -135,7 +141,12 @@ class TrigPolynomial:
             if not (isinstance(row, (list, tuple)) and len(row) == 3):
                 raise DomainError(f"bad polynomial term {row!r}; want [frequency, re, im]")
             g, re, im = row
-            pairs.append((g, complex(float(re), float(im))))
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+                raise DomainError(f"term {row!r}: coefficient parts re, im must be numbers")
+            try:
+                pairs.append((g, complex(re, im)))
+            except OverflowError:
+                raise DomainError(f"term {row!r}: coefficient is not finite") from None
         return cls(pairs)
 
 

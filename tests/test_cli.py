@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinset_lab import quasi
+from test_acceptance import REDUCED_CONFIGS
+from thinset_lab import EXPERIMENT_IDS, default_config, quasi
 from thinset_lab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -287,8 +289,15 @@ def test_qis_partition_sum_magnitude_over_cap_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "terms, needle",
-    [([[1, 1.0, 0.0], [2, math.nan, 0.0]], "not finite"), ([[1, 1.0, 0.0], [1.7, 1.0, 0.0]], "not an integer")],
-    ids=["nan_coefficient", "fractional_frequency"],
+    [
+        ([[1, 1.0, 0.0], [2, math.nan, 0.0]], "not finite"),
+        ([[1, 1.0, 0.0], [1.7, 1.0, 0.0]], "not an integer"),
+        ([[1, None, 0]], "term [1, None, 0]: coefficient"),
+        ([[1, [1], 0]], "term [1, [1], 0]: coefficient"),
+        ([[1, "1", 0]], "term [1, '1', 0]: coefficient"),
+        ([[True, 1, 0]], "(True, (1+0j)): frequency is not an integer"),
+    ],
+    ids=["nan_coefficient", "fractional_frequency", "null_coefficient", "list_coefficient", "string_coefficient", "bool_frequency"],
 )
 @pytest.mark.parametrize("verb", [["sup"], ["stable", "--p", "1.5", "--trials", "8"]], ids=["sup", "stable"])
 def test_norm_rejects_bad_terms_exits_2(capsys, poly_file, terms, needle, verb):
@@ -318,6 +327,132 @@ def test_sets_ralpha_length_over_cap_exits_2(capsys, tmp_path):
 def test_sets_generate_over_byte_cap_exits_2(capsys, kind, extra):
     err = assert_one_line_exit_2(capsys, "sets", "generate", "--kind", kind, "--limit", str(10**11), *extra)
     assert "cap" in err
+
+
+def test_qis_rejects_bool_members_naming_them(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text("[true, 2, 4]")
+    assert "True" in assert_one_line_exit_2(capsys, "qis", "check", str(path))
+    path.write_text("[2.5, 4]")
+    assert "2.5" in assert_one_line_exit_2(capsys, "qis", "max", str(path))
+
+
+@pytest.mark.parametrize("text", ["", "[1, 2", "{", "[" * 100_000])
+@pytest.mark.parametrize("verb", [["norm", "sup"], ["qis", "check"]], ids=["norm", "qis"])
+def test_unparsable_json_input_exits_2_naming_the_source(capsys, monkeypatch, tmp_path, text, verb):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert "stdin is not valid JSON" in assert_one_line_exit_2(capsys, *verb, "-")
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert f"{path} is not valid JSON" in assert_one_line_exit_2(capsys, *verb, str(path))
+
+
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff\xfe[1]")
+    assert "UTF-8" in assert_one_line_exit_2(capsys, "qis", "check", str(path))
+
+
+@pytest.mark.parametrize("checkpoints", ["", "a,b", "1,,2", "1.5,2"])
+def test_sets_mesh_bad_checkpoints_exit_2(capsys, tmp_path, checkpoints):
+    path = tmp_path / "set.json"
+    path.write_text("[1, 4, 9]")
+    err = assert_one_line_exit_2(capsys, "sets", "mesh", str(path), "--checkpoints", checkpoints)
+    assert "--checkpoints" in err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_exponents_non_finite_r_exits_2(capsys, r):
+    err = assert_one_line_exit_2(capsys, "exponents", "--p", "1.5", "--q", "1.2", "--r", r)
+    assert "finite r" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed=-1", "--stream-id=-1"])
+def test_norm_stable_negative_stream_key_exits_2(capsys, poly_file, flag):
+    path = poly_file([[3, 1.0, 0.0]])
+    err = assert_one_line_exit_2(capsys, "norm", "stable", path, "--p", "1.5", "--trials", "8", flag)
+    assert ">= 0" in err
+
+
+def test_sets_generate_squares_over_byte_cap_exits_2(capsys):
+    err = assert_one_line_exit_2(capsys, "sets", "generate", "--kind", "squares", "--limit", str(10**20))
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("text", ["seed = 1\n", "[E10]\nsize_max = 5\nsize_max = 6\n", "[E10]\nsize_max = %(x)s\n"])
+def test_run_unreadable_config_exits_2(capsys, tmp_path, text):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(text)
+    assert_one_line_exit_2(capsys, "run", "E10", "--config", str(cfg))
+
+
+def test_qis_partition_infinite_window_exits_2(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text("[1, 2, 4, 8, 16]")
+    err = assert_one_line_exit_2(capsys, "qis", "partition", str(path), "--c", "inf", "--epsilon", "0.5")
+    assert "finite" in err
+
+
+def test_norm_stable_over_draw_byte_cap_exits_2(capsys, poly_file):
+    path = poly_file([[3, 1.0, 0.0]])
+    err = assert_one_line_exit_2(capsys, "norm", "stable", path, "--p", "1.5", "--trials", str(10**20))
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("exp_id, key, needle", [("E1", "n", "cap"), ("E3", "trials", "cap"), ("E11", "alpha", "too large")])
+def test_run_huge_counts_exit_2_before_allocating(capsys, tmp_path, exp_id, key, needle):
+    cfg = _write_config(tmp_path, exp_id, dict(REDUCED_CONFIGS[exp_id], **{key: 10**20}))
+    assert needle in assert_one_line_exit_2(capsys, "run", exp_id, "--config", cfg)
+
+
+def _write_config(tmp_path, exp_id, overrides):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(f"[{exp_id}]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in overrides.items()))
+    return str(cfg)
+
+
+# before the typed config pass, each of these crashed with a traceback, ran
+# silently, or exited 2 with a numpy message that named no key
+@pytest.mark.parametrize(
+    "exp_id, key, value",
+    [
+        ("E1", "n", 0),
+        ("E7", "q", 0),
+        ("E11", "p", 1),
+        ("E1", "stability_radii", [-1]),
+        ("E8", "seed", None),
+        ("E1", "seed", 1.7),
+        ("E11", "p", 3),
+        ("E10", "band", math.nan),
+        ("E6", "universe", 5),
+    ],
+)
+def test_run_bad_config_value_exits_2_naming_key(capsys, tmp_path, exp_id, key, value):
+    cfg = _write_config(tmp_path, exp_id, {key: value})
+    assert f"{exp_id} config {key}:" in assert_one_line_exit_2(capsys, "run", exp_id, "--config", cfg)
+
+
+SWEEP_VALUES = [0, -3, "abc", math.nan, [], True, None]
+
+
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+def test_run_config_sweep_exits_0_1_or_2(capsys, tmp_path, monkeypatch, exp_id):
+    # every key with hostile values, plus each scalar as the only entry of a
+    # list key; the other keys stay at the reduced config so a run is short
+    monkeypatch.delenv("THINSET_LAB_SEED", raising=False)
+    for key, default in default_config(exp_id).items():
+        listed = isinstance(default, list)
+        is_int = isinstance(default[0] if listed else default, int)
+        values = SWEEP_VALUES + [2.5] * is_int
+        for value in values + [[v] for v in values if v != []] * listed:
+            overrides = dict(REDUCED_CONFIGS[exp_id], **{key: value})
+            code, out, err = run_cli(capsys, "run", exp_id, "--config", _write_config(tmp_path, exp_id, overrides))
+            assert code in (0, 1, 2), (key, value)
+            if code == 2:
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1, (key, value, err)
+                assert re.search(rf"\b{key}\b", err), (key, value, err)
+            else:
+                assert json.loads(out)["config"][key] == value, (key, value)
 
 
 def test_console_script_entry_point():

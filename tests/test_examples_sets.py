@@ -134,6 +134,9 @@ def test_r_alpha_domain_and_caps():
         r_alpha([1, 1 << 30], 2, 5)
     with pytest.raises(ResourceLimitError):
         r_alpha(list(range(1, 2000)), 8, 5)
+    # a huge alpha is rejected without computing k**alpha
+    with pytest.raises(ResourceLimitError):
+        r_alpha([1, 2, 3], 2**63, 5)
 
 
 def test_representation_counts_serialization():

@@ -111,3 +111,9 @@ def test_orlicz_params_domain():
     # rho(1.2) = 4, so r = 3 sits below max(2, rho)
     with pytest.raises(DomainError):
         orlicz_params(1.2, 3.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_orlicz_params_rejects_non_finite_r(r):
+    with pytest.raises(DomainError, match="finite r"):
+        orlicz_params(1.5, r)

@@ -29,6 +29,21 @@ def test_as_freqset_sorts_and_rejects_duplicates():
         as_freqset([1, 1])
 
 
+@pytest.mark.parametrize("bad", [2.7, True, math.nan, math.inf, "4", None])
+def test_as_freqset_rejects_non_integers_naming_the_element(bad):
+    with pytest.raises(DomainError, match=f"element {bad!r}"):
+        as_freqset([2, bad, 8])
+    with pytest.raises(DomainError, match=f"element {bad!r}"):
+        max_quasi_independent([2, bad, 8])
+    # integral floats and numpy integers are still integers
+    assert as_freqset([4.0, np.int64(2)]) == (2, 4)
+
+
+def test_search_no_longer_truncates_fractional_members():
+    with pytest.raises(DomainError, match="2.7"):
+        max_quasi_independent([2.7, 4.2])
+
+
 def test_known_small_sets():
     ok, witness = is_quasi_independent([1, 2, 3])
     assert not ok

@@ -36,6 +36,13 @@ def test_make_rng_keyed_streams():
     assert not np.array_equal(a, c)
 
 
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_make_rng_rejects_negative_keys(key):
+    with pytest.raises(DomainError, match=">= 0"):
+        make_rng(*key)
+
+
 def test_driver_distribution_validation():
     DriverDistribution("p_stable", p=1.5)
     DriverDistribution("rademacher")
