@@ -103,6 +103,13 @@ def generate(
         while v <= N:
             pows.append(v)
             v *= b
+        if dd > len(pows):
+            raise DomainError(f"need d <= {len(pows)}, the number of powers of {b} in [1, {N}], got d = {dd}")
+        tuples = math.comb(len(pows), dd)
+        if tuples * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
+            raise ResourceLimitError(
+                f"sums of {dd} of {len(pows)} powers need about {tuples * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
+            )
         from itertools import combinations
 
         vals = {sum(tup) for tup in combinations(pows, dd)}
@@ -128,6 +135,8 @@ def mesh_counts(freqs, checkpoints) -> list:
     for a, b in zip(pts, pts[1:]):
         if b <= a:
             raise DomainError("checkpoints must be strictly increasing")
+    if freqs and freqs[-1] >= 1 << 63:
+        raise DomainError(f"set member {freqs[-1]} is outside the signed 64-bit range")
     arr = np.asarray([g for g in freqs if g >= 1], dtype=np.int64)
     return [int(np.searchsorted(arr, N, side="right")) for N in pts]
 

@@ -56,6 +56,10 @@ class OrliczFunction:
         if not r > 0.0:
             raise DomainError(f"need r > 0, got r={r}")
         object.__setattr__(self, "r", r)
+        # the Luxemburg bracket divides by Phi^{-1}(1)
+        inv = float(self.inverse(1.0))
+        if not (inv > 0.0 and math.isfinite(1.0 / inv)):
+            raise DomainError(f"r={r} puts the {self.family} inverse at 1 at {inv}, outside float range")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -361,7 +361,10 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     epsilon = float(epsilon)
     if A == (0,):
         raise DomainError("partition_lemma is undefined for A = {0}")
-    hi_real = c * len(A) ** epsilon
+    try:
+        hi_real = c * len(A) ** epsilon
+    except OverflowError:
+        hi_real = math.inf
     if not 2.0 <= hi_real < math.inf:
         raise DomainError(f"need finite c*|A|^epsilon >= 2, got {hi_real}")
     lo = hi_real / 2.0

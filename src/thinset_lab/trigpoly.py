@@ -31,6 +31,8 @@ _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay ex
 # bytes of one complex M-point grid row; 2^28 allows M = 2^24, eight times
 # the 2^21-point grid of a degree-2^16 polynomial
 _GRID_BYTES_CAP = 1 << 28
+# smallest certified relative tolerance of the sup norm, a few float64 ulps
+_REL_TOL_FLOOR = 1e-15
 
 
 def _integral(g):
@@ -266,26 +268,34 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     rows : complex array, shape (B, n)
         One coefficient row per polynomial.
     rel_tol : float
-        Certified relative tolerance: each returned S satisfies
-        true sup in [S, S*(1+rel_tol)].
+        Certified relative tolerance in [1e-15, 0.1]: each returned
+        S satisfies true sup in [S, S*(1+rel_tol)].
 
-    The estimator takes a dense FFT grid of default_grid_size(degree)
-    points, then repeatedly bisects the sample spacing around every sample
-    whose squared modulus is within the current curvature bound of the row
-    maximum.  The bound (deg*h)^2/2 on the relative deficit of the nearest
-    sample comes from the second-derivative inequality for squared moduli
-    of degree-deg polynomials, so the surviving samples always cover the
-    true argmax.
+    |f| does not change when f is multiplied by exp(-i c t), so the
+    spectrum is first shifted by its centre c = (min + max) // 2.  The
+    centred spectrum has half-width deg = max |g - c| and width
+    W = max - min <= 2*deg.  The estimator takes a dense FFT grid of
+    default_grid_size(deg) points, then repeatedly bisects the sample
+    spacing around every sample whose squared modulus is within the current
+    curvature bound of the row maximum.  |f|^2 is a real trigonometric
+    polynomial of degree at most W, so Bernstein's inequality bounds its
+    second derivative by W^2 sup|f|^2; a sample within h/2 of the argmax
+    therefore falls short of the maximum by at most
+    (W*h/2)^2/2 <= (deg*h)^2/2 relative, and the surviving samples always
+    cover the true argmax.  Below 1e-15 that bound sinks under float64
+    resolution: samples tie with the maximum, the kept set doubles every
+    round, so such tolerances raise DomainError.
     """
+    if not (_REL_TOL_FLOOR <= rel_tol <= 0.1):
+        raise DomainError(f"need rel_tol in [{_REL_TOL_FLOOR:g}, 0.1], got {rel_tol}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     B, n = rows.shape
     if n == 0:
         return np.zeros(B)
     if n == 1:
         return np.abs(rows[:, 0])
+    freqs = freqs - (int(freqs[0]) + int(freqs[-1])) // 2
     deg = int(max(-freqs[0], freqs[-1]))
-    if deg == 0:
-        return np.abs(rows[:, 0])
     M = default_grid_size(deg)
     h0 = 2.0 * np.pi / M
 
@@ -329,11 +339,10 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
 
 
 def sup_norm(f: TrigPolynomial, rel_tol: float = 1e-9) -> float:
-    """Certified sup-norm estimate S with true norm in [S, S*(1+rel_tol)]."""
-    if not (0.0 < rel_tol <= 0.1):
-        raise DomainError(f"need rel_tol in (0, 0.1], got {rel_tol}")
-    if len(f) == 0:
-        return 0.0
+    """Certified sup-norm estimate S with true norm in [S, S*(1+rel_tol)].
+
+    rel_tol must lie in [1e-15, 0.1].
+    """
     return float(sup_norm_rows(f.freqs, f.coeffs[None, :], rel_tol)[0])
 
 

@@ -241,7 +241,7 @@ def assert_one_line_exit_2(capsys, *argv):
 
 
 def test_norm_sup_over_grid_byte_cap_exits_2(capsys, poly_file):
-    # degree 2^40 would need a 2^45-point FFT grid, 512 TiB
+    # half-width 2^39 about the centre would need a 2^44-point FFT grid, 256 TiB
     path = poly_file([[1, 1.0, 0.0], [2**40, 1.0, 0.0]])
     assert "cap" in assert_one_line_exit_2(capsys, "norm", "sup", path)
 
@@ -397,6 +397,34 @@ def test_norm_stable_over_draw_byte_cap_exits_2(capsys, poly_file):
     path = poly_file([[3, 1.0, 0.0]])
     err = assert_one_line_exit_2(capsys, "norm", "stable", path, "--p", "1.5", "--trials", str(10**20))
     assert "cap" in err
+
+
+def test_norm_sup_far_narrow_spectrum(capsys, monkeypatch):
+    # |f| ignores the common shift 2^40, so the grid only spans the width 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([[2**40, 1, 0], [2**40 + 1, 1, 0]])))
+    assert run_json(capsys, "norm", "sup", "-")["sup_norm"] == 2.0
+
+
+def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
+    path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0]])
+    assert "rel_tol" in assert_one_line_exit_2(capsys, "norm", "sup", path, "--rel-tol", "1e-300")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, needle",
+    [
+        (["sets", "mesh", "-", "--checkpoints", "1,2,3,4"], "[1e20]", "64-bit"),
+        (["qis", "partition", "-", "--epsilon", "1e308", "--c", "1"], "[1, 2, 4]", "finite"),
+        (["sets", "generate", "--kind", "sums_of_powers", "--d", str(10**20), "--limit", "100"], "", "need d <= 4"),
+        (["sets", "generate", "--kind", "sums_of_powers", "--base", "2", "--d", "30", "--limit", str(10**18)], "", "cap"),
+        (["norm", "orlicz", "-", "--family", "psi", "--r", "1e-300"], "[[1, 1.0, 0.0]]", "r=1e-300"),
+    ],
+    ids=["mesh_huge_member", "partition_huge_epsilon", "sums_of_powers_huge_d", "sums_of_powers_over_cap", "orlicz_tiny_r"],
+)
+def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
+    # each of these once escaped as an OverflowError or ZeroDivisionError
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert needle in assert_one_line_exit_2(capsys, *argv)
 
 
 @pytest.mark.parametrize("exp_id, key, needle", [("E1", "n", "cap"), ("E3", "trials", "cap"), ("E11", "alpha", "too large")])

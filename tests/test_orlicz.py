@@ -32,6 +32,14 @@ def test_young_function_domain():
         OrliczFunction("poly", 1.0)
 
 
+@pytest.mark.parametrize("r", [1e-300, 4e-4])
+def test_young_function_rejects_r_with_vanishing_inverse_at_one(r):
+    # log(2)^(1/r) underflows to 0, and the Luxemburg bracket divides by it
+    with pytest.raises(DomainError):
+        OrliczFunction("exp_type", r)
+    assert OrliczFunction("exp_type", 1e-3).inverse(1.0) > 0.0
+
+
 @pytest.mark.parametrize("family,r", [("exp_type", 1.0), ("exp_type", 3.0), ("log_type", 2.0)])
 def test_inverse_round_trip(family, r):
     phi = OrliczFunction(family, r)

@@ -18,7 +18,7 @@ from thinset_lab import (
     sup_norm,
     sup_norm_rows,
 )
-from util_oracles import direct_values
+from util_oracles import direct_values, uncentred_sup_norm_rows
 
 
 def _random_poly(rng, max_abs_freq=512, size_hi=12):
@@ -241,6 +241,69 @@ def test_sup_norm_between_l2_and_l1_coefficient_norms():
         s = sup_norm(f, rel_tol=1e-9)
         assert s >= fq_norm(f, 2.0) * (1.0 - 1e-9)
         assert s <= fq_norm(f, 1.0) * (1.0 + 1e-9)
+
+
+def test_sup_norm_rel_tol_floor():
+    f = TrigPolynomial({1: 1.0, 2: 1.0})
+    # below float64 resolution the refinement would keep every sample
+    for bad in (1e-16, 1e-300, math.nan):
+        with pytest.raises(DomainError):
+            sup_norm(f, rel_tol=bad)
+        with pytest.raises(DomainError):
+            sup_norm_rows(f.freqs, f.coeffs[None, :], bad)
+    start = time.perf_counter()
+    assert sup_norm(f, rel_tol=1e-15) == 2.0
+    assert time.perf_counter() - start < 1.0
+
+
+def _differential_spectra(rng):
+    """(freqs, rows) pairs: mixed signs, odd widths, a lacunary run, one nonzero frequency."""
+    cases = []
+    for _ in range(4):
+        freqs = np.sort(rng.choice(np.arange(-60, 61), size=int(rng.integers(2, 10)), replace=False))
+        cases.append(freqs)
+    cases.append(np.array([3, 4, 9, 20, 40]))  # width 37
+    cases.append(np.array([-7, 0, 2, 6]))  # width 13
+    cases.append(np.array([2, 4, 8, 16, 32, 64, 128]))  # lacunary, width 126
+    cases.append(np.array([0, 37]))
+    cases.append(np.array([37]))
+    out = []
+    for freqs in cases:
+        rows = rng.standard_normal((5, freqs.size)) + 1j * rng.standard_normal((5, freqs.size))
+        out.append((freqs.astype(np.int64), rows))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_centred_sup_matches_uncentred_kernel_and_fine_grid(tol):
+    rng = np.random.default_rng(16)
+    M = 1 << 16
+    for freqs, rows in _differential_spectra(rng):
+        new = sup_norm_rows(freqs, rows, tol)
+        old = uncentred_sup_norm_rows(freqs, rows, tol)
+        width = int(freqs[-1] - freqs[0])
+        # a fine grid falls short of the true sup by at most (W pi / M)^2 / 2
+        grid_gap = (width * math.pi / M) ** 2 / 2.0
+        for i in range(rows.shape[0]):
+            f = TrigPolynomial(zip(freqs.tolist(), rows[i].tolist()))
+            dense = np.abs(direct_values(f, M)).max()
+            # both kernels certify true sup in [S, S(1+tol)]
+            assert new[i] <= old[i] * (1.0 + tol) * (1.0 + 1e-12)
+            assert old[i] <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
+            assert dense <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
+            assert new[i] <= dense / math.sqrt(1.0 - grid_gap) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("K", [1, -5, 17, 2**20, 2**40 - 3, 2**40, -(2**40)])
+def test_sup_norm_is_shift_invariant(K):
+    rng = np.random.default_rng(17)
+    for freqs in ([0, 1], [-7, 0, 2, 6], [3, 4, 9, 20, 40]):
+        coeffs = (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))).tolist()
+        f = TrigPolynomial(zip(freqs, coeffs))
+        shifted = TrigPolynomial(zip([g + K for g in freqs], coeffs))
+        for tol in (1e-3, 1e-9):
+            assert sup_norm(shifted, rel_tol=tol) == sup_norm(f, rel_tol=tol)
+    assert sup_norm(TrigPolynomial({2**40: 1.0, 2**40 + 1: 1.0})) == 2.0
 
 
 def test_sup_norm_rows_matches_scalar_path():
