@@ -39,6 +39,8 @@ FAMILIES = ("exp_type", "log_type")
 _ADAPTIVE_REL_TOL = 1e-7
 _ADAPTIVE_GRID_CAP = 1 << 20
 _BISECT_REL_TOL = 1e-9
+# largest relative miss of phi(Phi^{-1}(1)) from 1 that OrliczFunction accepts
+_INVERSE_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,24 @@ class OrliczFunction:
         inv = float(self.inverse(1.0))
         if not (inv > 0.0 and math.isfinite(1.0 / inv)):
             raise DomainError(f"r={r} puts the {self.family} inverse at 1 at {inv}, outside float range")
+        if self.family == "log_type":
+            # 1 + log1p(x) rounds to 1 below x = 2^-53, so for tiny r the
+            # bisection meets a phi that jumps from x to inf; check its root
+            # with log1p(log1p(x)), which keeps those digits
+            with np.errstate(over="ignore"):
+                at_inv = float(inv * np.exp(np.log1p(np.log1p(inv)) / r))
+            if not abs(at_inv - 1.0) <= _INVERSE_CHECK_TOL:
+                raise DomainError(
+                    f"r={r} is too small for float64: the log_type inverse at 1 comes out at {inv:.9g}, "
+                    f"where phi is {at_inv:.9g}, not 1"
+                )
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if self.family == "exp_type":
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            if self.family == "exp_type":
                 return np.expm1(x**self.r)
-        return x * (1.0 + np.log1p(x)) ** (1.0 / self.r)
+            return x * (1.0 + np.log1p(x)) ** (1.0 / self.r)
 
     def inverse(self, y):
         """Inverse on y >= 0; exact for exp_type, bisection for log_type."""

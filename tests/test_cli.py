@@ -418,11 +418,20 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         (["sets", "generate", "--kind", "sums_of_powers", "--d", str(10**20), "--limit", "100"], "", "need d <= 4"),
         (["sets", "generate", "--kind", "sums_of_powers", "--base", "2", "--d", "30", "--limit", str(10**18)], "", "cap"),
         (["norm", "orlicz", "-", "--family", "psi", "--r", "1e-300"], "[[1, 1.0, 0.0]]", "r=1e-300"),
+        (["norm", "orlicz", "-", "--family", "phi", "--r", "1e-300"], "[[1, 1.0, 0.0], [3, 1.0, 0.0]]", "too small"),
     ],
-    ids=["mesh_huge_member", "partition_huge_epsilon", "sums_of_powers_huge_d", "sums_of_powers_over_cap", "orlicz_tiny_r"],
+    ids=[
+        "mesh_huge_member",
+        "partition_huge_epsilon",
+        "sums_of_powers_huge_d",
+        "sums_of_powers_over_cap",
+        "orlicz_tiny_r",
+        "orlicz_phi_tiny_r",
+    ],
 )
 def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
-    # each of these once escaped as an OverflowError or ZeroDivisionError
+    # each of these once escaped as an OverflowError or ZeroDivisionError, or
+    # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert needle in assert_one_line_exit_2(capsys, *argv)
 

@@ -22,14 +22,14 @@ from thinset_lab import emit_report, run_experiment
 
 DIGESTS = {
     "E1": "396d5bcdc50a32db952455c3926fd688bf1d620035d96453b8ffa46fc8add6ae",
-    "E2": "0558d2a4da335a27d78df8a3466f2f382d827c7dac634fbb0f0ca68385650b6f",
+    "E2": "09a5394202539755f4985c443ebd41d3420d33a8ea008334405b3f6d56009e83",
     "E3": "c0ec7109f6d32dd9080c473c6dcdcce50b76084514ea5f01a4dfee622ac5b093",
     "E4": "e87876f3941b5e2ad6054153f4dfa376f69e6e553590e6003b60de29908fd228",
     "E5": "3d16bf27d511e8561f434e9e1d3be4f780cf5324ae633d94e4329161160af1b4",
-    "E6": "216b50c6d5f996f02b84ceb7df388623b7188f73becf0db64ae3d544dbb0055c",
+    "E6": "0003117df02bb89c9a6cd5db7050a7911ce454fc9b9f232fa61bf86c908cc1dd",
     "E7": "fc0e3bb2916baa3a35eaed22c54ad5cabc4b99aa6a8f71e8ae20e456058a91ec",
     "E8": "57560bf0e9592a2ec1b64f654b564ccd6669429532453a4c6a83289f42cc701d",
-    "E9": "689801488ce9d5e9ddbbc84fa2776c63ebafcd20658df75e3ef251d6b4c8c2cf",
+    "E9": "3c9a8dde88d366d0c1bb8f4c548c8b923d87f1005c78e33c4f546c6b5ec9e599",
     "E10": "af699d12e188f8338fb03cb53a66a048e61895d6b9cabc7b26c10881fec924fd",
     "E11": "69a1bc78c6c2bebe6ffa2cf5d91e1ef6878e7051d81e6e296d21561fcfa603ca",
 }

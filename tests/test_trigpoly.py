@@ -1,7 +1,9 @@
 """Polynomial data model, norms, grid evaluation, sup and L^q norms."""
 
 import math
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from thinset_lab import (
     fq_norm,
     lorentz_norms,
     lq_function_norm,
+    psi_set_norm,
     sup_norm,
     sup_norm_rows,
 )
+from thinset_lab.trigpoly import _PRODUCT_TERMS_PER_LOG2, _fft_values, _product_values
 from util_oracles import direct_values, uncentred_sup_norm_rows
 
 
@@ -70,6 +74,15 @@ def test_non_integer_frequencies_rejected(freq):
         TrigPolynomial.from_json_obj([[2, 1.0, 0.0], [freq, 1.0, 0.0]])
     # integral floats and numpy integers still pass
     assert TrigPolynomial([(3.0, 1.0), (np.int64(-2), 2.0)]).terms() == {-2: 2.0, 3: 1.0}
+
+
+@pytest.mark.parametrize("member", [2.7, True])
+def test_indicator_rejects_non_integer_members(member):
+    with pytest.raises(DomainError, match=re.escape(f"term ({member!r}, 1.0): frequency is not an integer")):
+        TrigPolynomial.indicator([1, member, 5])
+    with pytest.raises(DomainError, match=re.escape(repr(member))):
+        psi_set_norm([member, 4.2], 2.0)
+    assert TrigPolynomial.indicator([3.0, np.int64(5)]).terms() == {3: 1.0, 5: 1.0}
 
 
 def test_empty_polynomial_degree_and_norms():
@@ -257,7 +270,8 @@ def test_sup_norm_rel_tol_floor():
 
 
 def _differential_spectra(rng):
-    """(freqs, rows) pairs: mixed signs, odd widths, a lacunary run, one nonzero frequency."""
+    """(freqs, rows) pairs: mixed signs, odd widths, a lacunary run, one nonzero
+    frequency, and two spectra too full for the twiddle product."""
     cases = []
     for _ in range(4):
         freqs = np.sort(rng.choice(np.arange(-60, 61), size=int(rng.integers(2, 10)), replace=False))
@@ -267,6 +281,8 @@ def _differential_spectra(rng):
     cases.append(np.array([2, 4, 8, 16, 32, 64, 128]))  # lacunary, width 126
     cases.append(np.array([0, 37]))
     cases.append(np.array([37]))
+    cases.append(np.arange(-20, 21))  # 41 terms on a 1024-point grid
+    cases.append(np.arange(-59, 60, 2))  # 60 terms, width 118
     out = []
     for freqs in cases:
         rows = rng.standard_normal((5, freqs.size)) + 1j * rng.standard_normal((5, freqs.size))
@@ -278,7 +294,10 @@ def _differential_spectra(rng):
 def test_centred_sup_matches_uncentred_kernel_and_fine_grid(tol):
     rng = np.random.default_rng(16)
     M = 1 << 16
+    product_path = set()
     for freqs, rows in _differential_spectra(rng):
+        half = (int(freqs[-1]) - int(freqs[0]) + 1) // 2
+        product_path.add(freqs.size <= _PRODUCT_TERMS_PER_LOG2 * math.log2(default_grid_size(half)))
         new = sup_norm_rows(freqs, rows, tol)
         old = uncentred_sup_norm_rows(freqs, rows, tol)
         width = int(freqs[-1] - freqs[0])
@@ -292,6 +311,49 @@ def test_centred_sup_matches_uncentred_kernel_and_fine_grid(tol):
             assert old[i] <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
             assert dense <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
             assert new[i] <= dense / math.sqrt(1.0 - grid_gap) * (1.0 + 1e-12)
+    # the spectra exercise both grid kernels
+    assert product_path == {True, False}
+
+
+def _odd_width_spectrum(rng, M, n, width):
+    """n sorted distinct frequencies in [-M/2, M/2) spanning exactly `width`."""
+    lo = int(rng.integers(-(M // 2), M // 2 - width))
+    inner = rng.choice(np.arange(lo + 1, lo + width), size=n - 2, replace=False)
+    return np.sort(np.concatenate([[lo, lo + width], inner])).astype(np.int64)
+
+
+@pytest.mark.parametrize("log2_M", [10, 12, 15, 17, 20])
+def test_product_grid_matches_fft_grid(log2_M):
+    rng = np.random.default_rng(18 + log2_M)
+    M = 1 << log2_M
+    rule = _PRODUCT_TERMS_PER_LOG2 * log2_M
+    for n in (2, 7, rule, rule + 9):
+        for width in (M // 2 - 1, (M // 7) | 1):
+            freqs = _odd_width_spectrum(rng, M, n, width)
+            rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+            product = _product_values(freqs, rows, M)
+            fft = _fft_values(freqs, rows, M) * M
+            mass = np.abs(rows).sum(axis=1)
+            assert np.all(np.abs(product - fft).max(axis=1) <= 1e-12 * mass)
+
+
+def test_product_grid_peaks_below_the_fft_grid():
+    freqs = np.array([2**j for j in range(1, 17)], dtype=np.int64)
+    rows = np.ones((8, freqs.size), dtype=np.complex128)
+    centred = freqs - (freqs[0] + freqs[-1]) // 2
+    M = default_grid_size(int(centred[-1]))
+    assert freqs.size <= _PRODUCT_TERMS_PER_LOG2 * math.log2(M)
+    tracemalloc.start()
+    try:
+        _fft_values(centred, rows, M)
+        fft_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sups = sup_norm_rows(freqs, rows, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(sups, 16.0, rtol=1e-12)
+    assert peak < fft_peak
 
 
 @pytest.mark.parametrize("K", [1, -5, 17, 2**20, 2**40 - 3, 2**40, -(2**40)])
