@@ -228,8 +228,7 @@ def _cmd_norm(args) -> int:
             seed=resolve_seed(args.seed),
             stream_id=args.stream_id,
         )
-        est = estimate_bracket(f, d, args.trials, groups=args.groups)
-        _emit(est.to_json_obj())
+        _emit(asdict(estimate_bracket(f, d, args.trials, groups=args.groups)))
     return 0
 
 
@@ -239,8 +238,7 @@ def _cmd_qis(args) -> int:
         ok, witness = is_quasi_independent(A)
         _emit({"quasi_independent": ok, "witness": witness})
     elif args.qis_kind == "max":
-        res = max_quasi_independent(A, budget=args.budget)
-        _emit(res.to_json_obj())
+        _emit(asdict(max_quasi_independent(A, budget=args.budget)))
     elif args.qis_kind == "partition":
         res = partition_lemma(A, args.c, args.epsilon, budget=args.budget)
         _emit(res.to_json_obj())
@@ -272,8 +270,7 @@ def _cmd_sets(args) -> int:
         _emit(obj)
     elif args.sets_kind == "ralpha":
         A = _load_intset(args.file)
-        rc = r_alpha(A, args.alpha, args.n)
-        _emit(rc.to_json_obj())
+        _emit(asdict(r_alpha(A, args.alpha, args.n)))
     return 0
 
 

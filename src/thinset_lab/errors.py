@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one allocation budget."""
 
 __all__ = [
     "DomainError",
@@ -19,6 +19,16 @@ class InfeasibleError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An exact algorithm was asked to exceed its desk-scale budget."""
+
+
+# every exact algorithm checks its estimated peak bytes against this one cap
+# before it allocates; each call site keeps its own measured bytes per item
+_BYTES_CAP = 1 << 30
+
+
+def _check_bytes(need: int, what: str) -> None:
+    if need > _BYTES_CAP:
+        raise ResourceLimitError(f"{what} needs about {need} bytes, over the {_BYTES_CAP}-byte cap")
 
 
 class ExtractionError(RuntimeError):

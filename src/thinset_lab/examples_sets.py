@@ -4,8 +4,8 @@ Provides the standard thin and thick sets (squares, geometric powers, sums
 of powers, full intervals, independent random subsets), counting of a set
 below increasing checkpoints, log-log regression of those counts under two
 growth models, and exact representation counts r_alpha(j) = number of
-ordered alpha-tuples from a set summing to j, computed by integer
-coefficient convolution.
+ordered alpha-tuples from a set summing to j, computed by sparse
+shift-and-add in exact int64.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, ResourceLimitError
+from .errors import DomainError, FitError, ResourceLimitError, _check_bytes
 from .quasi import as_freqset
 from .sampler import make_rng, resolve_seed
 
@@ -30,12 +30,10 @@ __all__ = [
 
 GENERATOR_KINDS = ("squares", "powers", "sums_of_powers", "interval", "random")
 
-_CONV_LENGTH_CAP = 1 << 26
 # an interval or random set below N peaks at _BYTES_PER_CANDIDATE bytes per
 # integer in [1, N]: a tuple slot and an int object (measured 40 for
 # interval) plus, for random, the uniform draw and mask (measured 50 at
-# density 1); the cap admits N up to about 19M
-_SET_BYTES_CAP = 1 << 30
+# density 1); the 2^30-byte cap admits N up to about 19M
 _BYTES_PER_CANDIDATE = 56
 
 
@@ -46,13 +44,6 @@ class RepresentationCounts:
     alpha: int
     counts: tuple
     mean_square: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "counts": list(self.counts),
-            "mean_square": self.mean_square,
-        }
 
 
 def generate(
@@ -75,10 +66,7 @@ def generate(
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     candidates = N if kind in ("interval", "random") else math.isqrt(N) if kind == "squares" else 0
-    if candidates * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{kind} set below {N} needs about {candidates * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
-        )
+    _check_bytes(candidates * _BYTES_PER_CANDIDATE, f"{kind} set below {N}")
     if kind == "squares":
         return tuple(k * k for k in range(1, math.isqrt(N) + 1))
     if kind == "powers":
@@ -105,11 +93,7 @@ def generate(
             v *= b
         if dd > len(pows):
             raise DomainError(f"need d <= {len(pows)}, the number of powers of {b} in [1, {N}], got d = {dd}")
-        tuples = math.comb(len(pows), dd)
-        if tuples * _BYTES_PER_CANDIDATE > _SET_BYTES_CAP:
-            raise ResourceLimitError(
-                f"sums of {dd} of {len(pows)} powers need about {tuples * _BYTES_PER_CANDIDATE} bytes, over the {_SET_BYTES_CAP}-byte cap"
-            )
+        _check_bytes(math.comb(len(pows), dd) * _BYTES_PER_CANDIDATE, f"sums of {dd} of {len(pows)} powers")
         from itertools import combinations
 
         vals = {sum(tup) for tup in combinations(pows, dd)}
@@ -179,9 +163,12 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
 
     counts[j] is the number of ordered alpha-tuples of elements summing to
     j, for j = 0..n; their total over all j is k^alpha with k = |freqs|.
-    mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Dense integer
-    convolution; the working array, of length max(alpha * max(freqs), n) + 1,
-    is capped at 2^26 entries.
+    mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Sparse shift-and-add:
+    starting from [1], each of the alpha rounds adds the current counts
+    shifted by every member g, costing O(alpha * k * length) exact int64
+    additions.  The two working arrays, of length up to
+    max(alpha * max(freqs), n) + 1, are charged 16 bytes per entry against
+    the byte cap, which admits 2^26 entries.
     """
     freqs = as_freqset(freqs)
     alpha = int(alpha)
@@ -196,13 +183,13 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     if (k > 1 and alpha >= 62) or k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
     length = max(freqs[-1] * alpha, n) + 1
-    if length > _CONV_LENGTH_CAP:
-        raise ResourceLimitError(f"convolution length {length} exceeds cap {_CONV_LENGTH_CAP}")
-    base = np.zeros(freqs[-1] + 1, dtype=np.int64)
-    base[np.asarray(freqs, dtype=np.int64)] = 1
-    conv = base
-    for _ in range(alpha - 1):
-        conv = np.convolve(conv, base)
+    _check_bytes(16 * length, f"representation counts of length {length}")
+    conv = np.ones(1, dtype=np.int64)
+    for _ in range(alpha):
+        nxt = np.zeros(conv.size + freqs[-1], dtype=np.int64)
+        for g in freqs:
+            nxt[g : g + conv.size] += conv
+        conv = nxt
     padded = np.zeros(max(n + 1, conv.size), dtype=np.int64)
     padded[: conv.size] = conv
     counts = padded[: n + 1]

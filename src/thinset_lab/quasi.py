@@ -16,7 +16,8 @@ the set exactly when gamma is not an achievable sum, and
 |chosen| + |still addable| is an upper bound that prunes.
 
 Every array level of signed sums (a half enumeration step, an array-state
-extension) checks its bytes against _SUM_BYTES_CAP before allocating.
+extension) checks its bytes against the package byte cap (errors._BYTES_CAP)
+before allocating.
 
 partition_lemma repeatedly extracts a maximum (or greedy, above the
 exact-size cap) quasi-independent subset from the remainder, trims it
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExtractionError, ResourceLimitError
+from .errors import DomainError, ExtractionError, ResourceLimitError, _check_bytes
 from .trigpoly import _integral
 
 __all__ = [
@@ -50,11 +51,10 @@ _EXACT_SIZE_CAP = 25
 _SUM_MAGNITUDE_CAP = 1 << 62
 # below this sum |A| the signed sums of any subset fit a bitset of < 2^25 bits
 _BITSET_SUM_LIMIT = 1 << 24
-# one signed-sum level may allocate at most this many bytes: a 15-element
-# half (3^15 sums) fits, a 16-element one with distinct sums does not
-_SUM_BYTES_CAP = 1 << 30
 # peak bytes per new sum of one level: concatenation, representatives and
-# np.unique's sort (measured 53 for a half level, 25 for an array extension)
+# np.unique's sort (measured 53 for a half level, 25 for an array extension);
+# under the 2^30-byte cap a 15-element half (3^15 sums) fits, a 16-element
+# one with distinct sums does not
 _BYTES_PER_SUM = 56
 _COLLISION_CHUNK = 1 << 16
 
@@ -86,14 +86,6 @@ class QiSearchResult:
     witness: tuple
     exact: bool
     nodes_explored: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "q_value": self.q_value,
-            "witness": list(self.witness),
-            "exact": self.exact,
-            "nodes_explored": self.nodes_explored,
-        }
 
 
 @dataclass(frozen=True)
@@ -135,14 +127,6 @@ def _decode_rep(rep: int, members: tuple, positions: dict, size: int) -> list:
     return theta
 
 
-def _check_sum_bytes(n_sums: int, what: str) -> None:
-    need = n_sums * _BYTES_PER_SUM
-    if need > _SUM_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{what}: {n_sums} signed sums need about {need} bytes, over the {_SUM_BYTES_CAP}-byte cap"
-        )
-
-
 def _half_sums(members: tuple):
     """All achievable signed sums of one half with one representative each.
 
@@ -156,7 +140,7 @@ def _half_sums(members: tuple):
     reps = np.zeros(1, dtype=np.uint32)
     for local, g in enumerate(members):
         n = sums.size
-        _check_sum_bytes(3 * n, "half enumeration")
+        _check_bytes(3 * n * _BYTES_PER_SUM, f"half enumeration of {3 * n} signed sums")
         step = 3**local
         all_s = np.empty(3 * n, dtype=np.int64)
         all_s[:n] = sums
@@ -260,7 +244,7 @@ class _ArraySums:
 
     def extend(self, g: int) -> "_ArraySums":
         ss = self.sums
-        _check_sum_bytes(3 * ss.size, "signed-sum set")
+        _check_bytes(3 * ss.size * _BYTES_PER_SUM, f"signed-sum set of {3 * ss.size} sums")
         return _ArraySums(np.unique(np.concatenate([ss, ss + g, ss - g])))
 
 

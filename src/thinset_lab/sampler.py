@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _check_bytes
 
 __all__ = [
     "DRIVER_KINDS",
@@ -39,7 +39,6 @@ SEED_ENV_VAR = "THINSET_LAB_SEED"
 
 # one sample_driver call peaks at about 49 bytes per complex draw (measured)
 _BYTES_PER_DRAW = 56
-_DRAW_BYTES_CAP = 1 << 30
 
 
 def resolve_seed(seed: int | None = None) -> int:
@@ -146,8 +145,7 @@ def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.nda
     n = int(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
-    if n * _BYTES_PER_DRAW > _DRAW_BYTES_CAP:
-        raise ResourceLimitError(f"{n} draws need about {n * _BYTES_PER_DRAW} bytes, over the {_DRAW_BYTES_CAP}-byte cap")
+    _check_bytes(n * _BYTES_PER_DRAW, f"{n} draws")
     if d.kind == "rademacher":
         return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
     if d.kind == "complex_gaussian":

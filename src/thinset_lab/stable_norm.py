@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _check_bytes
 from .exponents import conjugate
-from .sampler import _DRAW_BYTES_CAP, DriverDistribution, sample_driver
+from .sampler import DriverDistribution, sample_driver
 from .trigpoly import TrigPolynomial, sup_norm_rows
 
 __all__ = [
@@ -60,20 +60,6 @@ class NormEstimate:
     p: float | None
     seed: int
     stream_id: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "trials": self.trials,
-            "groups": self.groups,
-            "spread": self.spread,
-            "grid_tol": self.grid_tol,
-            "group_means": list(self.group_means),
-            "kind": self.kind,
-            "p": self.p,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-        }
 
 
 def median_of_means(samples, groups: int) -> tuple:
@@ -117,8 +103,7 @@ def estimate_bracket(
         )
 
     n = len(f)
-    if 16 * trials * n > _DRAW_BYTES_CAP:
-        raise ResourceLimitError(f"{trials} x {n} driver rows need {16 * trials * n} bytes, over the {_DRAW_BYTES_CAP}-byte cap")
+    _check_bytes(16 * trials * n, f"{trials} x {n} driver rows")
     rows = np.empty((trials, n), dtype=np.complex128)
     for i in range(trials):
         rows[i] = sample_driver(d, n, trial_index=i) * f.coeffs

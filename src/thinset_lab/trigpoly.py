@@ -2,12 +2,12 @@
 
 A polynomial is a finite sum f(t) = sum_g c_g exp(i g t) with nonzero complex
 coefficients keyed by signed 64-bit frequencies.  The module provides the
-coefficient-side norms (l_q, Lorentz), grid evaluation (FFT when the
-spectrum fits the grid, a chunked termwise sum otherwise), a certified
-sup-norm estimator, and L^q function norms by quadrature.  The sup norm
-grids a sparse spectrum by a rank-n twiddle product and a dense one by the
-FFT; ``evaluate_grid`` and the quadratures always take the FFT.  Every dense
-grid is checked against a byte cap before it is allocated.
+coefficient-side norms (l_q, Lorentz), grid evaluation (one inverse FFT,
+frequencies placed by their residue mod M), a certified sup-norm estimator,
+and L^q function norms by quadrature.  The sup norm grids a sparse spectrum
+by a rank-n twiddle product and a dense one by the FFT; ``evaluate_grid``
+and the quadratures always take the FFT.  Every dense grid is checked
+against the package byte cap before it is allocated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _check_bytes
 
 __all__ = [
     "TrigPolynomial",
@@ -30,9 +30,13 @@ __all__ = [
 ]
 
 _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay exact
-# bytes of one complex M-point grid row; 2^28 allows M = 2^24, eight times
-# the 2^21-point grid of a degree-2^16 polynomial
-_GRID_BYTES_CAP = 1 << 28
+# bytes charged per point of one M-point grid row, so the cap allows M = 2^24,
+# eight times the 2^21-point grid of a degree-2^16 polynomial.  tracemalloc
+# peaks per point (numpy 2.4): 32 for evaluate_grid at M = 2^20 and for one
+# sup row of either kernel (16 lacunary terms at M = 2^19, 80 terms at
+# M = 2^16); refining a dense spectrum adds to that, to 73 for the 8190-term
+# interval at M = 2^16
+_BYTES_PER_GRID_POINT = 64
 # smallest certified relative tolerance of the sup norm, a few float64 ulps
 _REL_TOL_FLOOR = 1e-15
 # sup_norm_rows grids n terms on M points by the twiddle product when
@@ -42,9 +46,8 @@ _REL_TOL_FLOOR = 1e-15
 # and above 256 at 2^18; at n = 16 the product is 1.5x faster at M = 2^10
 # and 4.3x at 2^19.  4*log2(M) stays below every crossover.
 _PRODUCT_TERMS_PER_LOG2 = 4
-# grid points per block of rows in the twiddle product, a quarter of the
-# 2^23 points the FFT path takes at once
-_PRODUCT_BLOCK_POINTS = 1 << 21
+# grid points per block of rows in the sup norm's grid stage, both kernels
+_BLOCK_POINTS = 1 << 21
 
 
 def _integral(g):
@@ -204,43 +207,29 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
     return (l_q1, l_qinf)
 
 
-def _check_grid_bytes(M: int) -> None:
-    if 16 * M > _GRID_BYTES_CAP:
-        raise ResourceLimitError(
-            f"a {M}-point grid needs {16 * M} bytes per row, over the cap of {_GRID_BYTES_CAP}"
-        )
-
-
 def evaluate_grid(f: TrigPolynomial, M: int) -> np.ndarray:
-    """Values f(t_k) at t_k = 2 pi k / M, k = 0..M-1.
+    """Values f(t_k) at t_k = 2 pi k / M, k = 0..M-1, by one inverse FFT.
 
-    Takes the FFT when every frequency lies in [-M/2, M/2) and sums
-    termwise otherwise; the two paths agree to 1e-9 absolute.  Raises
-    ResourceLimitError before allocating a grid over the byte cap.
+    Raises ResourceLimitError before allocating a grid over the byte cap.
     """
     M = int(M)
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
-    _check_grid_bytes(M)
-    if len(f) == 0:
-        return np.zeros(M, dtype=np.complex128)
-    freqs, rows = f.freqs, f.coeffs[None, :]
-    if freqs[0] >= -(M // 2) and freqs[-1] < (M + 1) // 2:
-        return _fft_values(freqs, rows, M)[0] * M
-    t = 2.0 * np.pi * np.arange(M) / M
-    return _direct_values(freqs, rows, np.zeros(M, dtype=np.intp), t)
+    _check_bytes(_BYTES_PER_GRID_POINT * M, f"a {M}-point grid")
+    return _fft_values(f.freqs, f.coeffs[None, :], M)[0]
 
 
 def _fft_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
-    """numpy's ifft of each row scattered onto M points: f_row(2 pi k / M) / M.
+    """f_row(2 pi k / M), k = 0..M-1: numpy's ifft of each scattered row, times M.
 
-    Every frequency must lie in [-M/2, M/2).
+    Coefficients land on their frequency's residue mod M, so frequencies
+    that alias on this grid sum.
     """
-    _check_grid_bytes(M)
     buf = np.zeros((rows.shape[0], M), dtype=np.complex128)
-    # distinct frequencies in [-M/2, M/2) have distinct residues mod M
-    buf[:, np.mod(freqs, M)] = rows
-    return np.fft.ifft(buf, axis=1)
+    np.add.at(buf, (slice(None), np.mod(freqs, M)), rows)
+    vals = np.fft.ifft(buf, axis=1)
+    vals *= M
+    return vals
 
 
 def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
@@ -344,7 +333,7 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     freqs = freqs - (int(freqs[0]) + int(freqs[-1])) // 2
     deg = int(max(-freqs[0], freqs[-1]))
     M = default_grid_size(deg)
-    _check_grid_bytes(M)
+    _check_bytes(_BYTES_PER_GRID_POINT * M, f"a {M}-point grid")
     h0 = 2.0 * np.pi / M
 
     best = np.zeros(B)
@@ -353,16 +342,13 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     kept_g: list = []
     gap0 = min(0.49, 1.02 * (deg * h0) ** 2 / 2.0)
     product = n <= _PRODUCT_TERMS_PER_LOG2 * (M.bit_length() - 1)
-    chunk = max(1, (_PRODUCT_BLOCK_POINTS if product else 1 << 23) // M)
+    values = _product_values if product else _fft_values
+    chunk = max(1, _BLOCK_POINTS // M)
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        if product:
-            vals = _product_values(freqs, rows[lo:hi], M)
-            g = vals.real**2
-            g += vals.imag**2
-        else:
-            vals = _fft_values(freqs, rows[lo:hi], M)
-            g = (vals.real**2 + vals.imag**2) * (M * M)
+        vals = values(freqs, rows[lo:hi], M)
+        g = vals.real**2
+        g += vals.imag**2
         bmax = g.max(axis=1)
         best[lo:hi] = bmax
         keep = g >= bmax[:, None] * (1.0 - gap0)
@@ -404,11 +390,11 @@ def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float
     """(grid mean of |f|^q)^(1/q) on M equispaced points.
 
     Exact for even integer q <= 16 at the default grid (then M > q*degree);
-    otherwise a quadrature approximation.  An explicit M must be at least
-    4*(degree+1).
+    otherwise a quadrature approximation.  q must be finite (sup_norm is
+    the q = inf norm).  An explicit M must be at least 4*(degree+1).
     """
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got q={q}")
+    if not 1.0 <= q < math.inf:
+        raise DomainError(f"need finite q >= 1, got q={q}; the sup norm is the q = inf case")
     if len(f) == 0:
         return 0.0
     if M is None and float(q).is_integer() and int(q) % 2 == 0:

@@ -1,0 +1,86 @@
+"""The package's one allocation budget: every byte cap goes through errors._check_bytes.
+
+Each case names a guarded call site, the bytes it charges for a size s, and
+a size at which to set the cap.  With errors._BYTES_CAP patched to the
+charge at that size, the site must run there and raise ResourceLimitError
+one size above, before it allocates.  The charges are written out here, so
+moving any per-item figure fails the test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from thinset_lab import (
+    DriverDistribution,
+    ResourceLimitError,
+    TrigPolynomial,
+    default_grid_size,
+    errors,
+    estimate_bracket,
+    evaluate_grid,
+    generate,
+    quasi,
+    r_alpha,
+    sample_driver,
+    sup_norm,
+)
+from test_quasi import _traced_peak
+
+# site -> (call at size s, bytes charged at size s, size at the cap)
+CASES = {
+    "evaluate_grid": (
+        lambda M: evaluate_grid(TrigPolynomial({1: 1.0, 3: 2.0}), M),
+        lambda M: 64 * M,
+        1024,
+    ),
+    # a dense spectrum of half-width s, so the FFT kernel grids it
+    "sup_norm_rows": (
+        lambda s: sup_norm(TrigPolynomial.indicator(range(-s, s + 1)), 1e-3),
+        lambda s: 64 * default_grid_size(s),
+        255,
+    ),
+    "sample_driver": (
+        lambda n: sample_driver(DriverDistribution("p_stable", p=1.5), n),
+        lambda n: 56 * n,
+        1000,
+    ),
+    "estimate_bracket": (
+        lambda trials: estimate_bracket(TrigPolynomial.indicator(range(1, 33)), DriverDistribution("rademacher"), trials),
+        lambda trials: 16 * trials * 32,
+        256,
+    ),
+    # powers of 3 have 3^s distinct signed sums
+    "half_sums": (
+        lambda s: quasi._half_sums(tuple(3**i for i in range(s))),
+        lambda s: 56 * 3**s,
+        9,
+    ),
+    "array_sums": (
+        lambda s: quasi._ArraySums(np.arange(s, dtype=np.int64)).extend(10 * s),
+        lambda s: 56 * 3 * s,
+        1000,
+    ),
+    "generate_interval": (lambda N: generate("interval", N), lambda N: 56 * N, 1000),
+    "generate_random": (lambda N: generate("random", N, density=0.5, seed=1), lambda N: 56 * N, 1000),
+    "generate_squares": (lambda N: generate("squares", N), lambda N: 56 * math.isqrt(N), 1001**2 - 1),
+    "generate_sums_of_powers": (
+        lambda N: generate("sums_of_powers", N, base=2, d=2),
+        lambda N: 56 * math.comb(N.bit_length() - 1, 2),
+        2**21 - 1,
+    ),
+    "r_alpha": (lambda n: r_alpha([1, 2, 3], 2, n), lambda n: 16 * (n + 1), 4095),
+}
+
+
+@pytest.mark.parametrize("site", list(CASES))
+def test_byte_cap_admits_its_estimate_and_raises_one_size_above(monkeypatch, site):
+    call, need, size = CASES[site]
+    cap = need(size)
+    assert need(size + 1) > cap
+    monkeypatch.setattr(errors, "_BYTES_CAP", cap)
+    call(size)
+    err, peak = _traced_peak(lambda: call(size + 1))
+    assert isinstance(err, ResourceLimitError) and f"over the {cap}-byte cap" in str(err)
+    assert peak <= cap

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import REDUCED_CONFIGS
-from thinset_lab import EXPERIMENT_IDS, default_config, quasi
+from thinset_lab import EXPERIMENT_IDS, default_config, errors
 from thinset_lab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,6 +246,12 @@ def test_norm_sup_over_grid_byte_cap_exits_2(capsys, poly_file):
     assert "cap" in assert_one_line_exit_2(capsys, "norm", "sup", path)
 
 
+def test_norm_lq_infinite_q_exits_2(capsys, poly_file):
+    # the sup norm is the q = inf case; lq used to print 1.0 here
+    path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0], [4, 1.0, 0.0]])
+    assert "q=inf" in assert_one_line_exit_2(capsys, "norm", "lq", path, "--q", "inf")
+
+
 def test_norm_lq_over_grid_byte_cap_exits_2(capsys, poly_file):
     path = poly_file([[1, 1.0, 0.0], [3, 1.0, 0.0]])
     err = assert_one_line_exit_2(capsys, "norm", "lq", path, "--q", "2", "--grid", str(2**46))
@@ -253,7 +259,7 @@ def test_norm_lq_over_grid_byte_cap_exits_2(capsys, poly_file):
 
 
 def test_qis_check_over_signed_sum_byte_cap_exits_2(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(quasi, "_SUM_BYTES_CAP", 1 << 20)
+    monkeypatch.setattr(errors, "_BYTES_CAP", 1 << 20)
     # 20 members below 10^9: each half has 3^10 distinct signed sums
     path = tmp_path / "set.json"
     path.write_text(json.dumps([int(g) for g in np.random.default_rng(46).choice(10**9, 20, replace=False) + 1]))

@@ -1,6 +1,8 @@
 """Example set generators, mesh counting, growth fits, representation counts."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -116,6 +118,16 @@ def test_r_alpha_matches_indicator_power():
         assert sum(rc.counts) == len(A) ** alpha
 
 
+def test_r_alpha_on_powers_of_two():
+    # the E11 family: sparse members far apart, every sum counted exactly
+    A = generate("powers", 2**12, base=2)
+    for alpha in (2, 3):
+        n = alpha * 2**12
+        rc = r_alpha(A, alpha, n)
+        assert list(rc.counts) == brute_r_alpha(A, alpha, n)
+        assert sum(rc.counts) == len(A) ** alpha
+
+
 def test_r_alpha_truncation_and_padding():
     rc = r_alpha([1, 2], 2, 3)
     assert rc.counts == (0, 0, 1, 2)
@@ -141,5 +153,5 @@ def test_r_alpha_domain_and_caps():
 
 def test_representation_counts_serialization():
     rc = r_alpha([1, 2, 3], 2, 4)
-    obj = rc.to_json_obj()
+    obj = json.loads(json.dumps(asdict(rc)))
     assert obj["alpha"] == 2 and obj["counts"] == list(rc.counts)

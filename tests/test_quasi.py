@@ -13,6 +13,7 @@ from thinset_lab import (
     as_freqset,
     is_quasi_independent,
     max_quasi_independent,
+    errors,
     partition_lemma,
     quasi,
 )
@@ -231,7 +232,7 @@ def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
     quasi._greedy_extract(tuple(A[:3]), 3)
     # 1 MiB, and the tightest cap that still admits 3^9 new sums
     for cap in (1 << 20, quasi._BYTES_PER_SUM * 3**9):
-        monkeypatch.setattr(quasi, "_SUM_BYTES_CAP", cap)
+        monkeypatch.setattr(errors, "_BYTES_CAP", cap)
         out, peak = _traced_peak(lambda: is_quasi_independent(B))
         assert isinstance(out, ResourceLimitError) and peak <= cap
         out, peak = _traced_peak(lambda: quasi._greedy_extract(tuple(A), len(A)))

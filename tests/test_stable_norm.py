@@ -1,6 +1,7 @@
 """Monte Carlo bracket estimates and their deterministic comparators."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_estimate_bracket_fields_and_groups_default():
     assert est.grid_tol == SUP_REL_TOL
     assert len(est.group_means) == 4
     assert est.spread >= 0.0
-    obj = est.to_json_obj()
+    obj = asdict(est)
     assert obj["value"] == est.value and obj["trials"] == 64
     with pytest.raises(DomainError):
         estimate_bracket(f, d, trials=0)

@@ -195,7 +195,8 @@ def test_evaluate_grid_direct_matches_fft_on_random_polys():
 
 
 def test_evaluate_grid_fft_requires_fitting_frequencies():
-    # 100 lies outside [-32, 32), so the termwise path answers
+    # 100 lies outside [-32, 32) and aliases onto residue 36; the scatter by
+    # residue still gives f's values on the grid
     f = TrigPolynomial({100: 1.0, -3: 2.0 - 1.0j})
     assert np.max(np.abs(evaluate_grid(f, 64) - direct_values(f, 64))) < 1e-12
 
@@ -332,7 +333,7 @@ def test_product_grid_matches_fft_grid(log2_M):
             freqs = _odd_width_spectrum(rng, M, n, width)
             rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
             product = _product_values(freqs, rows, M)
-            fft = _fft_values(freqs, rows, M) * M
+            fft = _fft_values(freqs, rows, M)
             mass = np.abs(rows).sum(axis=1)
             assert np.all(np.abs(product - fft).max(axis=1) <= 1e-12 * mass)
 
@@ -403,6 +404,14 @@ def test_lq_function_norm_grid_floor():
         lq_function_norm(f, 2.0, M=43)
     with pytest.raises(DomainError):
         lq_function_norm(f, 0.5)
+
+
+def test_lq_function_norm_rejects_infinite_q():
+    # mean(|f|^inf)^(1/inf) would read inf^0 = 1.0, though the sup here is 3
+    f = TrigPolynomial.indicator([1, 2, 4])
+    for q in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"q={q}"):
+            lq_function_norm(f, q)
 
 
 def test_default_grid_size_shape():
