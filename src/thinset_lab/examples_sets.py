@@ -166,9 +166,10 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Sparse shift-and-add:
     starting from [1], each of the alpha rounds adds the current counts
     shifted by every member g, costing O(alpha * k * length) exact int64
-    additions.  The two working arrays, of length up to
-    max(alpha * max(freqs), n) + 1, are charged 16 bytes per entry against
-    the byte cap, which admits 2^26 entries.
+    additions; a one-member set {g} takes the closed form counts[alpha*g] = 1
+    instead.  The two working arrays, of length up to
+    max(alpha * max(freqs), n) + 1 (n + 1 for one member), are charged 16
+    bytes per entry against the byte cap, which admits 2^26 entries.
     """
     freqs = as_freqset(freqs)
     alpha = int(alpha)
@@ -182,14 +183,20 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     k = len(freqs)
     if (k > 1 and alpha >= 62) or k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
-    length = max(freqs[-1] * alpha, n) + 1
+    length = (n if k == 1 else max(freqs[-1] * alpha, n)) + 1
     _check_bytes(16 * length, f"representation counts of length {length}")
-    conv = np.ones(1, dtype=np.int64)
-    for _ in range(alpha):
-        nxt = np.zeros(conv.size + freqs[-1], dtype=np.int64)
-        for g in freqs:
-            nxt[g : g + conv.size] += conv
-        conv = nxt
+    if k == 1:
+        # {g} has the one alpha-fold sum alpha*g, whatever alpha is
+        conv = np.zeros(n + 1, dtype=np.int64)
+        if freqs[0] * alpha <= n:
+            conv[freqs[0] * alpha] = 1
+    else:
+        conv = np.ones(1, dtype=np.int64)
+        for _ in range(alpha):
+            nxt = np.zeros(conv.size + freqs[-1], dtype=np.int64)
+            for g in freqs:
+                nxt[g : g + conv.size] += conv
+            conv = nxt
     padded = np.zeros(max(n + 1, conv.size), dtype=np.int64)
     padded[: conv.size] = conv
     counts = padded[: n + 1]

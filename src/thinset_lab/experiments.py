@@ -7,8 +7,10 @@ carry unknown absolute constants, so pass criteria are ratio bands
 fixed in the default config and recorded in the report.
 
 Reproducibility contract: every random draw comes from a Philox stream
-keyed (seed, stream_id, trial_index), with stream ids allocated in fixed
-code order from the experiment's block (experiment index * 1000).  Reports
+keyed (seed, stream_id), with stream ids allocated in fixed code order from
+the experiment's block (experiment index * 1000).  Driver draw j of stream
+(seed, stream_id) is Philox block j, and trial i of an n-term bracket is
+draws [i*n, (i+1)*n), so any trial regenerates alone.  Reports
 therefore depend only on the effective config, and the serialized form is
 byte-identical across reruns; wall-clock data lives in a separate metadata
 section that emit_report omits by default.

@@ -8,9 +8,16 @@ and a positive (p/2)-stable factor A scaled so E exp(-u A) = exp(-(2u)^(p/2)).
 At p = 2 the factor is the constant 2 and Z is exactly the complex Gaussian
 driver, so both kinds share one code path and one law.
 
-Streams are Philox counter-based generators keyed by (seed, stream_id,
-trial_index): any trial regenerates in isolation, and estimates do not
-depend on how trials are batched or scheduled.
+Stream contract: draw j of stream (seed, stream_id) is Philox block j;
+trial i of an n-term row is draws [i*n, (i+1)*n).  The Philox key is the
+one make_rng(seed, stream_id, 0) derives, and block j is the j-th
+four-uniform block that generator emits: Kanter's angle from lane 0, the
+exponential -log1p(-u) from lane 1 and one Box-Muller pair from lanes 2
+and 3.  A Rademacher draw takes its sign from lane 0 and leaves the other
+lanes unused.  No draw rejects or takes a variable number of uniforms, so
+trial i regenerates alone from counter i*n, T trials are one
+sample_driver(d, T*n) call, and estimates do not depend on how trials are
+batched or scheduled.
 """
 
 from __future__ import annotations
@@ -37,8 +44,14 @@ DRIVER_KINDS = ("rademacher", "complex_gaussian", "p_stable")
 
 SEED_ENV_VAR = "THINSET_LAB_SEED"
 
-# one sample_driver call peaks at about 49 bytes per complex draw (measured)
-_BYTES_PER_DRAW = 56
+# uniforms per draw: one Philox4x64 block
+_LANES = 4
+# draws per chunk of the block transform, which bounds its temporaries
+_CHUNK_DRAWS = 1 << 14
+# bytes per output draw (complex; a Rademacher draw needs 8) and the peak of
+# one chunk's temporaries, which tracemalloc reads at 88 bytes per draw
+_BYTES_PER_DRAW = 16
+_CHUNK_BYTES = 96 * _CHUNK_DRAWS
 
 
 def resolve_seed(seed: int | None = None) -> int:
@@ -55,7 +68,12 @@ def resolve_seed(seed: int | None = None) -> int:
 
 
 def make_rng(seed: int, stream_id: int = 0, trial_index: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream_id, trial_index), all >= 0."""
+    """Philox generator keyed by (seed, stream_id, trial_index), all >= 0.
+
+    Driver streams use trial_index 0 only: sample_driver advances
+    make_rng(seed, stream_id, 0) to a trial's first block instead of keying
+    a generator per trial.
+    """
     key = [int(seed), int(stream_id), int(trial_index)]
     if min(key) < 0:
         raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
@@ -90,6 +108,38 @@ class DriverDistribution:
         object.__setattr__(self, "stream_id", int(self.stream_id))
 
 
+def _draw_bytes(n: int) -> int:
+    """Bytes charged for n draws: the output plus one working chunk."""
+    return n * _BYTES_PER_DRAW + _CHUNK_BYTES
+
+
+def _check_n(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
+    return n
+
+
+def _blocks(rng: np.random.Generator, n: int):
+    """(lo, hi, u) over n draws: u holds the (hi - lo, 4) uniforms of draws lo..hi-1."""
+    for lo in range(0, n, _CHUNK_DRAWS):
+        hi = min(n, lo + _CHUNK_DRAWS)
+        yield lo, hi, rng.random((hi - lo, _LANES))
+
+
+def _kanter(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Positive alpha-stable values from lanes 0 and 1 of a uniform block."""
+    # exact-zero uniforms have measure zero; clamp so the 0^negative branch
+    # cannot produce inf
+    a = np.maximum(np.pi * u[:, 0], 1e-12)
+    w = np.maximum(-np.log1p(-u[:, 1]), 1e-300)
+    return (
+        np.sin(alpha * a)
+        * np.sin(a) ** (-1.0 / alpha)
+        * (np.sin((1.0 - alpha) * a) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
 def sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Positive alpha-stable draws with E exp(-lam X) = exp(-lam^alpha).
 
@@ -99,55 +149,67 @@ def sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np
         X = sin(alpha U) * sin(U)^(-1/alpha)
               * (sin((1 - alpha) U) / W)^((1 - alpha)/alpha).
 
-    Requires 0 < alpha < 1.
+    Each draw takes one four-uniform block from rng: U from lane 0 and
+    W = -log1p(-u) from lane 1.  Requires 0 < alpha < 1.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"need 0 < alpha < 1, got alpha={alpha}")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    u = rng.uniform(0.0, np.pi, n)
-    w = rng.standard_exponential(n)
-    # exact-zero draws have measure zero; clamp so the 0^negative branch
-    # cannot produce inf
-    u = np.maximum(u, 1e-12)
-    w = np.maximum(w, 1e-300)
-    return (
-        np.sin(alpha * u)
-        * np.sin(u) ** (-1.0 / alpha)
-        * (np.sin((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
+    n = _check_n(n)
+    _check_bytes(_draw_bytes(n), f"{n} draws")
+    out = np.empty(n)
+    for lo, hi, u in _blocks(rng, n):
+        out[lo:hi] = _kanter(alpha, u)
+    return out
 
 
 def sample_isotropic_stable(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic complex draws with CF exp(-|z|^p), 1 < p <= 2."""
+    """Isotropic complex draws with CF exp(-|z|^p), 1 < p <= 2.
+
+    Z = sqrt(A) (G1 + i G2) with A = 2 at p = 2 and A = 2X, X positive
+    (p/2)-stable from lanes 0 and 1, below it; the Box-Muller pair of lanes
+    2 and 3 gives G1 + i G2 = sqrt(2E) exp(2 pi i u3) with E = -log1p(-u2)
+    standard exponential.  So |Z| = 2 sqrt(X E), with X = 1 at p = 2.
+    """
     p = float(p)
     if not 1.0 < p <= 2.0:
         raise DomainError(f"need 1 < p <= 2, got p={p}")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    if p == 2.0:
-        a = np.full(n, 2.0)
-    else:
-        a = 2.0 * sample_positive_stable(p / 2.0, n, rng)
-    g = rng.standard_normal((2, n))
-    return np.sqrt(a) * (g[0] + 1j * g[1])
+    n = _check_n(n)
+    _check_bytes(_draw_bytes(n), f"{n} draws")
+    out = np.empty(n, dtype=np.complex128)
+    for lo, hi, u in _blocks(rng, n):
+        modulus = -np.log1p(-u[:, 2])
+        if p < 2.0:
+            modulus *= _kanter(p / 2.0, u)
+        np.sqrt(modulus, out=modulus)
+        modulus *= 2.0
+        angle = (2.0 * np.pi) * u[:, 3]
+        np.multiply(modulus, np.cos(angle), out=out.real[lo:hi])
+        np.multiply(modulus, np.sin(angle), out=out.imag[lo:hi])
+    return out
 
 
 def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.ndarray:
-    """n driver draws from the (d.seed, d.stream_id, trial_index) stream.
+    """Draws [trial_index*n, (trial_index+1)*n) of the (d.seed, d.stream_id) stream.
 
-    rademacher yields real +-1 values; the other kinds yield complex.
+    The generator is make_rng(d.seed, d.stream_id, 0) advanced by
+    trial_index*n blocks, so sample_driver(d, T*n).reshape(T, n)[i] equals
+    sample_driver(d, n, trial_index=i).  rademacher yields real +-1 values;
+    the other kinds yield complex.
     """
-    rng = make_rng(d.seed, d.stream_id, trial_index)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    _check_bytes(n * _BYTES_PER_DRAW, f"{n} draws")
+    key = [d.seed, d.stream_id, int(trial_index)]
+    if min(key) < 0:
+        raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
+    n = _check_n(n)
+    start = key[2] * n
+    if start >= 1 << 64:
+        raise DomainError(f"start draw trial_index*n = {start} is past the 2^64-block stream")
+    _check_bytes(_draw_bytes(n), f"{n} draws")
+    rng = make_rng(d.seed, d.stream_id)
+    rng.bit_generator.advance(start)
     if d.kind == "rademacher":
-        return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-    if d.kind == "complex_gaussian":
-        return sample_isotropic_stable(2.0, n, rng)
-    return sample_isotropic_stable(d.p, n, rng)
+        out = np.empty(n)
+        for lo, hi, u in _blocks(rng, n):
+            out[lo:hi] = np.where(u[:, 0] < 0.5, -1.0, 1.0)
+        return out
+    return sample_isotropic_stable(2.0 if d.kind == "complex_gaussian" else d.p, n, rng)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, _check_bytes
 from .exponents import conjugate
-from .sampler import DriverDistribution, sample_driver
+from .sampler import DriverDistribution, _draw_bytes, sample_driver
 from .trigpoly import TrigPolynomial, sup_norm_rows
 
 __all__ = [
@@ -82,10 +82,11 @@ def estimate_bracket(
 ) -> NormEstimate:
     """Monte Carlo estimate of the expected randomized sup norm.
 
-    Trial i multiplies the coefficients by the driver vector from the
-    (d.seed, d.stream_id, i) stream; the estimate is a deterministic
-    function of the trial multiset.  groups defaults to
-    ceil(trials^(1/3)).
+    Draw j of the (d.seed, d.stream_id) stream is Philox block j, and
+    trial i multiplies the coefficients by draws [i*n, (i+1)*n), which is
+    sample_driver(d, n, trial_index=i).  All trials come from one
+    sample_driver(d, trials*n) call.  The estimate is a deterministic
+    function of the trial multiset.  groups defaults to ceil(trials^(1/3)).
     """
     trials = int(trials)
     if trials < 1:
@@ -103,10 +104,10 @@ def estimate_bracket(
         )
 
     n = len(f)
-    _check_bytes(16 * trials * n, f"{trials} x {n} driver rows")
-    rows = np.empty((trials, n), dtype=np.complex128)
-    for i in range(trials):
-        rows[i] = sample_driver(d, n, trial_index=i) * f.coeffs
+    _check_bytes(16 * trials * n + _draw_bytes(trials * n), f"{trials} x {n} driver rows")
+    z = sample_driver(d, trials * n).reshape(trials, n)
+    # complex draws take the coefficients in place; real signs need a complex copy
+    rows = z * f.coeffs if d.kind == "rademacher" else np.multiply(z, f.coeffs, out=z)
     sups = sup_norm_rows(f.freqs, rows, SUP_REL_TOL)
 
     mom, means = median_of_means(sups, groups)

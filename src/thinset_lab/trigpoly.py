@@ -30,12 +30,12 @@ __all__ = [
 ]
 
 _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay exact
-# bytes charged per point of one M-point grid row, so the cap allows M = 2^24,
-# eight times the 2^21-point grid of a degree-2^16 polynomial.  tracemalloc
-# peaks per point (numpy 2.4): 32 for evaluate_grid at M = 2^20 and for one
-# sup row of either kernel (16 lacunary terms at M = 2^19, 80 terms at
-# M = 2^16); refining a dense spectrum adds to that, to 73 for the 8190-term
-# interval at M = 2^16
+# bytes charged per grid point of one row, or of one block of sup rows, so the
+# cap allows M = 2^24, eight times the 2^21-point grid of a degree-2^16
+# polynomial.  tracemalloc peaks per point (numpy 2.4): 32 for evaluate_grid
+# at M = 2^20 and for one sup row of either kernel (16 lacunary terms at
+# M = 2^19, 80 terms at M = 2^16), 56 for a 2^21-point block of FFT rows.  The
+# bisection rounds free the grid and charge their own arrays
 _BYTES_PER_GRID_POINT = 64
 # smallest certified relative tolerance of the sup norm, a few float64 ulps
 _REL_TOL_FLOOR = 1e-15
@@ -48,6 +48,13 @@ _REL_TOL_FLOOR = 1e-15
 _PRODUCT_TERMS_PER_LOG2 = 4
 # grid points per block of rows in the sup norm's grid stage, both kernels
 _BLOCK_POINTS = 1 << 21
+# term values per chunk of _direct_values
+_DIRECT_VALUES = 1 << 21
+# bytes charged per kept point of one bisection round (its midpoints and the
+# grown arrays; tracemalloc reads 180) and per term value of its direct
+# evaluation chunk (32-51)
+_BYTES_PER_KEPT_POINT = 192
+_BYTES_PER_TERM_VALUE = 56
 
 
 def _integral(g):
@@ -253,10 +260,15 @@ def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
     return vals.reshape(B, M)
 
 
+def _direct_chunk(n: int) -> int:
+    """Points per chunk of _direct_values on n terms."""
+    return max(1, _DIRECT_VALUES // max(1, n))
+
+
 def _direct_values(freqs: np.ndarray, rows: np.ndarray, row_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
     """f_row(t) for paired (row_idx, t), summed termwise in chunks that bound memory."""
     out = np.empty(t.size, dtype=np.complex128)
-    chunk = max(1, (1 << 21) // max(1, freqs.size))
+    chunk = _direct_chunk(freqs.size)
     for lo in range(0, t.size, chunk):
         hi = min(t.size, lo + chunk)
         phases = np.exp(1j * t[lo:hi, None] * freqs[None, :])
@@ -326,14 +338,15 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
         raise DomainError(f"need rel_tol in [{_REL_TOL_FLOOR:g}, 0.1], got {rel_tol}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     B, n = rows.shape
-    if n == 0:
+    if n == 0 or B == 0:
         return np.zeros(B)
     if n == 1:
         return np.abs(rows[:, 0])
     freqs = freqs - (int(freqs[0]) + int(freqs[-1])) // 2
     deg = int(max(-freqs[0], freqs[-1]))
     M = default_grid_size(deg)
-    _check_bytes(_BYTES_PER_GRID_POINT * M, f"a {M}-point grid")
+    chunk = min(B, max(1, _BLOCK_POINTS // M))
+    _check_bytes(_BYTES_PER_GRID_POINT * M * chunk, f"{chunk} rows of a {M}-point grid")
     h0 = 2.0 * np.pi / M
 
     best = np.zeros(B)
@@ -343,7 +356,6 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     gap0 = min(0.49, 1.02 * (deg * h0) ** 2 / 2.0)
     product = n <= _PRODUCT_TERMS_PER_LOG2 * (M.bit_length() - 1)
     values = _product_values if product else _fft_values
-    chunk = max(1, _BLOCK_POINTS // M)
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
         vals = values(freqs, rows[lo:hi], M)
@@ -356,6 +368,7 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
         kept_row.append(r + lo)
         kept_t.append(k * h0)
         kept_g.append(g[r, k])
+    del vals, keep
     row_idx = np.concatenate(kept_row)
     t = np.concatenate(kept_t)
     g = np.concatenate(kept_g)
@@ -363,6 +376,11 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     h = h0
     gap = gap0
     while gap > rel_tol:
+        values_per_chunk = min(2 * t.size, _direct_chunk(n)) * n
+        _check_bytes(
+            _BYTES_PER_KEPT_POINT * t.size + _BYTES_PER_TERM_VALUE * values_per_chunk,
+            f"refining {t.size} kept points of {n} terms",
+        )
         mid_t = np.concatenate([t - h / 2.0, t + h / 2.0])
         mid_rows = np.concatenate([row_idx, row_idx])
         mid_v = _direct_values(freqs, rows, mid_rows, mid_t)

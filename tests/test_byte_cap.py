@@ -25,6 +25,7 @@ from thinset_lab import (
     r_alpha,
     sample_driver,
     sup_norm,
+    sup_norm_rows,
 )
 from test_quasi import _traced_peak
 
@@ -35,20 +36,28 @@ CASES = {
         lambda M: 64 * M,
         1024,
     ),
-    # a dense spectrum of half-width s, so the FFT kernel grids it
+    # a dense spectrum of half-width s, so the FFT kernel grids it; at tol
+    # 0.05 one bisection round follows, which charges less than the grid
     "sup_norm_rows": (
-        lambda s: sup_norm(TrigPolynomial.indicator(range(-s, s + 1)), 1e-3),
+        lambda s: sup_norm(TrigPolynomial.indicator(range(-s, s + 1)), 0.05),
         lambda s: 64 * default_grid_size(s),
         255,
     ),
+    # B rows of a 63-term spectrum share one FFT block
+    "sup_norm_rows_block": (
+        lambda B: sup_norm_rows(np.arange(-31, 32), np.ones((B, 63)), 0.05),
+        lambda B: 64 * default_grid_size(31) * B,
+        4,
+    ),
     "sample_driver": (
         lambda n: sample_driver(DriverDistribution("p_stable", p=1.5), n),
-        lambda n: 56 * n,
+        lambda n: 16 * n + 96 * 2**14,
         1000,
     ),
+    # one term, so each sup is |row| and the rows and draws are the whole charge
     "estimate_bracket": (
-        lambda trials: estimate_bracket(TrigPolynomial.indicator(range(1, 33)), DriverDistribution("rademacher"), trials),
-        lambda trials: 16 * trials * 32,
+        lambda trials: estimate_bracket(TrigPolynomial.indicator([5]), DriverDistribution("rademacher"), trials),
+        lambda trials: 32 * trials + 96 * 2**14,
         256,
     ),
     # powers of 3 have 3^s distinct signed sums
@@ -83,4 +92,15 @@ def test_byte_cap_admits_its_estimate_and_raises_one_size_above(monkeypatch, sit
     call(size)
     err, peak = _traced_peak(lambda: call(size + 1))
     assert isinstance(err, ResourceLimitError) and f"over the {cap}-byte cap" in str(err)
+    assert peak <= cap
+
+
+def test_refinement_rounds_charge_their_arrays_before_allocating(monkeypatch):
+    # at tol 1e-3 the interval's fourth bisection round evaluates 18 points on
+    # 511 terms, which needs more than the grid stage's charge
+    f = TrigPolynomial.indicator(range(-255, 256))
+    cap = 64 * default_grid_size(255)
+    monkeypatch.setattr(errors, "_BYTES_CAP", cap)
+    err, peak = _traced_peak(lambda: sup_norm(f, 1e-3))
+    assert isinstance(err, ResourceLimitError) and "refining" in str(err)
     assert peak <= cap

@@ -177,6 +177,15 @@ def test_sets_ralpha(capsys, tmp_path):
     assert obj["mean_square"] == pytest.approx(19.0 / 6.0, rel=1e-12)
 
 
+def test_sets_ralpha_one_member_huge_alpha_returns(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text("[0]")
+    start = time.perf_counter()
+    obj = run_json(capsys, "sets", "ralpha", str(path), "--alpha", str(10**12), "--n", "5")
+    assert time.perf_counter() - start < 0.5
+    assert obj["counts"] == [1, 0, 0, 0, 0, 0]
+
+
 def test_run_json_exit_zero_and_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -126,6 +127,16 @@ def test_r_alpha_on_powers_of_two():
         rc = r_alpha(A, alpha, n)
         assert list(rc.counts) == brute_r_alpha(A, alpha, n)
         assert sum(rc.counts) == len(A) ** alpha
+
+
+def test_r_alpha_one_member_set_is_closed_form_for_huge_alpha():
+    start = time.perf_counter()
+    assert r_alpha([0], 10**12, 5).counts == (1, 0, 0, 0, 0, 0)
+    assert r_alpha([3], 10**12, 5).counts == (0,) * 6
+    assert r_alpha([3], 2, 6).counts == (0, 0, 0, 0, 0, 0, 1)
+    assert time.perf_counter() - start < 0.5
+    for g, alpha, n in [(0, 2, 3), (1, 4, 6), (5, 2, 12)]:
+        assert list(r_alpha([g], alpha, n).counts) == brute_r_alpha([g], alpha, n)
 
 
 def test_r_alpha_truncation_and_padding():

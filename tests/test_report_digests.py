@@ -21,15 +21,15 @@ from test_acceptance import REDUCED_CONFIGS
 from thinset_lab import emit_report, run_experiment
 
 DIGESTS = {
-    "E1": "396d5bcdc50a32db952455c3926fd688bf1d620035d96453b8ffa46fc8add6ae",
-    "E2": "09a5394202539755f4985c443ebd41d3420d33a8ea008334405b3f6d56009e83",
-    "E3": "c0ec7109f6d32dd9080c473c6dcdcce50b76084514ea5f01a4dfee622ac5b093",
-    "E4": "e87876f3941b5e2ad6054153f4dfa376f69e6e553590e6003b60de29908fd228",
-    "E5": "3d16bf27d511e8561f434e9e1d3be4f780cf5324ae633d94e4329161160af1b4",
-    "E6": "0003117df02bb89c9a6cd5db7050a7911ce454fc9b9f232fa61bf86c908cc1dd",
+    "E1": "39cd8dd4f3a4656ccbfde8919853e9e710471776de3619677f19df5ad0f54591",
+    "E2": "99349301b8fa99c54b113bb80440de2fe81979f96139b5b33da0f6452a563d9f",
+    "E3": "e3acba6d9626fdb5c217e957ab475fea3d82213ba1ed489199e71ce76283f7a9",
+    "E4": "259d4c2e420410438fbf4057de81962f9583c28d433c2c83849cb11b3a804501",
+    "E5": "babdbd08052c861eb44ebbb835aaa2ac1a96ec12733155d4d4b1d59d3368a406",
+    "E6": "4cb8983eef52fc32a2cdbf93617a74674af478ef72f3d3f3b254fc63614cb149",
     "E7": "fc0e3bb2916baa3a35eaed22c54ad5cabc4b99aa6a8f71e8ae20e456058a91ec",
     "E8": "57560bf0e9592a2ec1b64f654b564ccd6669429532453a4c6a83289f42cc701d",
-    "E9": "3c9a8dde88d366d0c1bb8f4c548c8b923d87f1005c78e33c4f546c6b5ec9e599",
+    "E9": "9578d1ba82141ced75e4a9e2cbbd1f2325b4769dbd1aa2a5b6fe8cc527e80706",
     "E10": "af699d12e188f8338fb03cb53a66a048e61895d6b9cabc7b26c10881fec924fd",
     "E11": "69a1bc78c6c2bebe6ffa2cf5d91e1ef6878e7051d81e6e296d21561fcfa603ca",
 }

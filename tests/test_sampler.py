@@ -9,11 +9,14 @@ from thinset_lab import (
     DomainError,
     DriverDistribution,
     SEED_ENV_VAR,
+    TrigPolynomial,
+    estimate_bracket,
     make_rng,
     resolve_seed,
     sample_driver,
     sample_isotropic_stable,
     sample_positive_stable,
+    stable_norm,
 )
 
 
@@ -124,3 +127,56 @@ def test_stability_under_averaging():
     for radius in (0.5, 1.0, 2.0):
         emp = float(np.mean(np.cos(radius * mixed.real)))
         assert abs(emp - math.exp(-(radius**p))) < 4.0 / math.sqrt(n)
+
+
+KINDS = [("rademacher", None), ("complex_gaussian", None), ("p_stable", 1.3)]
+
+
+@pytest.mark.parametrize("kind,p", KINDS)
+def test_trial_i_is_draws_i_n_to_i_plus_1_n(kind, p):
+    d = DriverDistribution(kind, p=p, seed=4, stream_id=11)
+    T, n = 6, 7
+    block = sample_driver(d, T * n).reshape(T, n)
+    for i in range(T):
+        assert np.array_equal(block[i], sample_driver(d, n, trial_index=i))
+
+
+@pytest.mark.parametrize("kind,p", KINDS)
+def test_counter_addressing_holds_across_chunks(kind, p):
+    # rows longer than one working chunk of the block transform
+    d = DriverDistribution(kind, p=p, seed=2)
+    n = 20_000
+    block = sample_driver(d, 3 * n)
+    assert np.array_equal(block[2 * n :], sample_driver(d, n, trial_index=2))
+
+
+@pytest.mark.parametrize("kind,p", KINDS)
+def test_estimate_bracket_rows_are_regenerable_trials(monkeypatch, kind, p):
+    seen = []
+
+    def capture(freqs, rows, rel_tol):
+        seen.append(np.array(rows))
+        return real_sup(freqs, rows, rel_tol)
+
+    real_sup = stable_norm.sup_norm_rows
+    monkeypatch.setattr(stable_norm, "sup_norm_rows", capture)
+    f = TrigPolynomial({g: complex(1.0, 0.1 * g) for g in range(1, 13)})
+    d = DriverDistribution(kind, p=p, seed=3, stream_id=8)
+    trials = 40
+    estimate_bracket(f, d, trials)
+    (rows,) = seen
+    assert rows.shape == (trials, len(f))
+    for i in (0, trials - 1):
+        assert np.array_equal(rows[i], sample_driver(d, len(f), trial_index=i) * f.coeffs)
+
+
+def test_sample_driver_rejects_negative_and_wrapping_counters():
+    d = DriverDistribution("rademacher")
+    with pytest.raises(DomainError, match=">= 0"):
+        sample_driver(d, 4, trial_index=-1)
+    with pytest.raises(DomainError, match=">= 0"):
+        sample_driver(DriverDistribution("rademacher", stream_id=-2), 4)
+    with pytest.raises(DomainError, match="2\\^64"):
+        sample_driver(d, 4, trial_index=2**62)
+    last = sample_driver(d, 4, trial_index=2**62 - 1)
+    assert set(np.unique(last)) <= {-1.0, 1.0}
