@@ -35,8 +35,6 @@ __all__ = [
     "DriverDistribution",
     "resolve_seed",
     "make_rng",
-    "sample_positive_stable",
-    "sample_isotropic_stable",
     "sample_driver",
 ]
 
@@ -140,7 +138,7 @@ def _kanter(alpha: float, u: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Positive alpha-stable draws with E exp(-lam X) = exp(-lam^alpha).
 
     Kanter's representation: with U uniform on (0, pi) and W standard
@@ -163,7 +161,7 @@ def sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np
     return out
 
 
-def sample_isotropic_stable(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_isotropic_stable(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Isotropic complex draws with CF exp(-|z|^p), 1 < p <= 2.
 
     Z = sqrt(A) (G1 + i G2) with A = 2 at p = 2 and A = 2X, X positive
@@ -212,4 +210,4 @@ def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.nda
         for lo, hi, u in _blocks(rng, n):
             out[lo:hi] = np.where(u[:, 0] < 0.5, -1.0, 1.0)
         return out
-    return sample_isotropic_stable(2.0 if d.kind == "complex_gaussian" else d.p, n, rng)
+    return _sample_isotropic_stable(2.0 if d.kind == "complex_gaussian" else d.p, n, rng)

@@ -6,8 +6,12 @@ coefficient-side norms (l_q, Lorentz), grid evaluation (one inverse FFT,
 frequencies placed by their residue mod M), a certified sup-norm estimator,
 and L^q function norms by quadrature.  The sup norm grids a sparse spectrum
 by a rank-n twiddle product and a dense one by the FFT; ``evaluate_grid``
-and the quadratures always take the FFT.  Every dense grid is checked
-against the package byte cap before it is allocated.
+and the quadratures always take the FFT.  It then refines the near-maximal
+grid samples by bisection, each sample carrying its n term values
+c_g exp(i g t) and stepping them to the midpoints by one complex multiply
+per term, so no round evaluates an exponential per term and point.  Every
+dense grid and every refinement round is checked against the package byte
+cap before it is allocated.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _check_bytes
+from .errors import DomainError, ResourceLimitError, _check_bytes
 
 __all__ = [
     "TrigPolynomial",
@@ -33,9 +37,10 @@ _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay ex
 # bytes charged per grid point of one row, or of one block of sup rows, so the
 # cap allows M = 2^24, eight times the 2^21-point grid of a degree-2^16
 # polynomial.  tracemalloc peaks per point (numpy 2.4): 32 for evaluate_grid
-# at M = 2^20 and for one sup row of either kernel (16 lacunary terms at
-# M = 2^19, 80 terms at M = 2^16), 56 for a 2^21-point block of FFT rows.  The
-# bisection rounds free the grid and charge their own arrays
+# at M = 2^20; for the sup norm, grid stage and one refinement round, 12 for
+# one product row (14 lacunary terms at M = 2^18), 36 for one FFT row (80
+# terms at M = 2^15) and 34 for a 2^21-point block of FFT rows.  The
+# refinement rounds charge their own arrays
 _BYTES_PER_GRID_POINT = 64
 # smallest certified relative tolerance of the sup norm, a few float64 ulps
 _REL_TOL_FLOOR = 1e-15
@@ -44,17 +49,30 @@ _REL_TOL_FLOOR = 1e-15
 # 2-vCPU x86-64 host (numpy 2.4, OpenBLAS 0.3.31), grid stage only: the two
 # break even near n = 56 at M = 2^10, 75 at 2^12, 115 at 2^14, 190 at 2^16
 # and above 256 at 2^18; at n = 16 the product is 1.5x faster at M = 2^10
-# and 4.3x at 2^19.  4*log2(M) stays below every crossover.
+# and 4.3x at 2^19.  4*log2(M) stays below every crossover.  (Measured with one
+# exp per twiddle; the two-table roots of _unit_roots only cheapen the product.)
 _PRODUCT_TERMS_PER_LOG2 = 4
 # grid points per block of rows in the sup norm's grid stage, both kernels
 _BLOCK_POINTS = 1 << 21
-# term values per chunk of _direct_values
-_DIRECT_VALUES = 1 << 21
-# bytes charged per kept point of one bisection round (its midpoints and the
-# grown arrays; tracemalloc reads 180) and per term value of its direct
-# evaluation chunk (32-51)
-_BYTES_PER_KEPT_POINT = 192
-_BYTES_PER_TERM_VALUE = 56
+# term values per chunk of the sup norm's refinement: a chunk carries at most
+# this many c_g exp(i g t), and survivors that outgrow it are cut into pieces
+_REFINE_VALUES = 1 << 20
+# bytes charged by a refinement round per carried term value (one complex128)
+# and per carried sample (its row, value, midpoints and keep indices), for
+# the chunk, the three survivors each of its samples may build and the
+# pieces waiting on the stack, plus per kept grid sample (row, index, value).
+# tracemalloc peaks at 0.3-0.8 of the largest charge on flat heavy-tailed
+# rows of 2-40 terms, Dirichlet kernels of 511 and 2047 terms and lacunary rows
+_BYTES_PER_TERM_VALUE = 16
+_BYTES_PER_SAMPLE = 64
+_BYTES_PER_SEED = 24
+# samples a block's refinement may take in all, per grid point of the block.
+# A round at most triples the kept samples, and at the brackets' tolerance
+# 1e-3 the gap (at most 0.079 on the grid) needs at most four rounds, so a
+# bracket takes at most 1 + 3 + 9 + 27 = 40 per grid point and is never
+# refused.  At smaller tolerances a row of nearly constant modulus keeps
+# almost every sample round after round; it is refused in its sixth round
+_REFINE_SAMPLES_PER_GRID_POINT = 256
 
 
 def _integral(g):
@@ -239,6 +257,22 @@ def _fft_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
     return vals
 
 
+def _unit_roots(m: np.ndarray, M: int) -> np.ndarray:
+    """exp(2 pi i m / M) for exact int64 indices m in [0, M), M a power of two.
+
+    With m = m1 + K*m2, K = 2^ceil(log2(M)/2), each root is the product of
+    two table entries exp(2 pi i m1 / M) and exp(2 pi i K m2 / M).  The
+    tables hold about 2 sqrt(M) values, and each root is within a few ulps
+    whatever m is.
+    """
+    shift = M.bit_length() // 2
+    K = 1 << shift
+    w = 2j * np.pi / M
+    out = np.exp(w * np.arange(K))[m & (K - 1)]
+    out *= np.exp(w * K * np.arange(-(-M // K)))[m >> shift]
+    return out
+
+
 def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
     """f_row(2 pi k / M) for k = 0..M-1 as one (K2 x n) diag(c) (n x K1) product per row.
 
@@ -246,34 +280,94 @@ def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
     stay below 2^63.  With k = k1 + K1*k2, K1 = 2^floor(log2(M)/2),
     K2 = M/K1, r = g mod M and w = exp(2 pi i / M), the term of frequency g is
     w^(r*k1 mod M) * c * w^(r*K1*k2 mod M).  Both twiddle indices are exact
-    int64 integers in [0, M), so every twiddle is one exp of an exact index,
+    int64 integers in [0, M), so every twiddle is a root of _unit_roots,
     whatever the size of g.
     """
     K1 = 1 << ((M.bit_length() - 1) // 2)
     K2 = M // K1
     r = np.mod(freqs, M)
-    w = 2j * np.pi / M
-    right = np.exp(w * (r[:, None] * np.arange(K1) % M))  # (n, K1)
-    left = np.exp(w * (np.arange(K2)[:, None] * (K1 * r % M) % M))  # (K2, n)
+    right = _unit_roots(r[:, None] * np.arange(K1) % M, M)  # (n, K1)
+    left = _unit_roots(np.arange(K2)[:, None] * (K1 * r % M) % M, M)  # (K2, n)
     B, n = rows.shape
     vals = (left * rows[:, None, :]).reshape(B * K2, n) @ right
     return vals.reshape(B, M)
 
 
-def _direct_chunk(n: int) -> int:
-    """Points per chunk of _direct_values on n terms."""
-    return max(1, _DIRECT_VALUES // max(1, n))
+def _gap(deg: int, M: int, level: int) -> float:
+    """Curvature gap 1.02*(deg*h)^2/2, capped at 0.49, of samples spaced h = 2 pi / (M*2^level)."""
+    return min(0.49, 1.02 * (deg * (2.0 * np.pi / M * 0.5**level)) ** 2 / 2.0)
 
 
-def _direct_values(freqs: np.ndarray, rows: np.ndarray, row_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """f_row(t) for paired (row_idx, t), summed termwise in chunks that bound memory."""
-    out = np.empty(t.size, dtype=np.complex128)
-    chunk = _direct_chunk(freqs.size)
-    for lo in range(0, t.size, chunk):
-        hi = min(t.size, lo + chunk)
-        phases = np.exp(1j * t[lo:hi, None] * freqs[None, :])
-        out[lo:hi] = np.einsum("kn,kn->k", phases, rows[row_idx[lo:hi]])
-    return out
+def _charge_round(n: int, kept: int, waiting: int, seeds: int) -> None:
+    """Charge a refinement round on `kept` samples of n terms before it allocates.
+
+    The round holds its chunk, builds at most three survivors per sample,
+    and keeps alive the `waiting` samples on the stack and the `seeds` grid
+    samples it started from.
+    """
+    need = (_BYTES_PER_TERM_VALUE * n + _BYTES_PER_SAMPLE) * (4 * kept + waiting) + _BYTES_PER_SEED * seeds
+    _check_bytes(need, f"refining {kept} kept points of {n} terms")
+
+
+def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
+    """Bisect around the kept grid samples (row, k, |f|^2 = g) until the gap is <= rel_tol.
+
+    Raises best, the per-row maximum of |f|^2, in place.  The carried term
+    vectors, the exact-index steps and the depth-first chunks are described
+    in sup_norm_rows.
+    """
+    n = freqs.size
+    per = max(1, _REFINE_VALUES // n)
+    r_mod = np.mod(freqs, M)
+    steps: list = []  # steps[L]: columns conj(s), s onto the grid of M*2^(L+1) points
+    stack: list = []
+    waiting = 0  # samples on the stack
+    budget, spent = _REFINE_SAMPLES_PER_GRID_POINT * M * rows.shape[0], 0
+    for lo in range(0, row.size, per):
+        hi = min(row.size, lo + per)
+        _charge_round(n, hi - lo, 0, row.size)
+        # M <= 2^24 under the grid's byte charge, so (g mod M) * k stays exact
+        u = _unit_roots(r_mod[None, :] * k[lo:hi, None] & (M - 1), M)
+        u *= rows[row[lo:hi]]
+        stack.append((row[lo:hi], g[lo:hi], u, 0))
+        waiting += hi - lo
+        while stack:
+            r, v, u, level = stack.pop()
+            waiting -= r.size
+            spent += r.size
+            if spent > budget:
+                raise ResourceLimitError(
+                    f"refining {rows.shape[0]} rows of {n} terms needs more than {budget} samples;"
+                    " a row of nearly constant modulus keeps almost every sample"
+                )
+            _charge_round(n, r.size, waiting, row.size)
+            if len(steps) == level:
+                N = M << (level + 1)
+                s = np.exp(2j * np.pi / N * np.mod(freqs, N))
+                steps.append(np.stack([s.conj(), s], axis=1))
+            S = steps[level]
+            mid = u @ S
+            mid_g = mid.real**2
+            mid_g += mid.imag**2
+            np.maximum.at(best, r, mid_g.max(axis=1))
+            level += 1
+            gap = _gap(deg, M, level)
+            if gap <= rel_tol:
+                continue
+            floor = best[r] * (1.0 - gap)
+            k0 = np.flatnonzero(v >= floor)
+            k1, k2 = (np.flatnonzero(mid_g[:, j] >= floor) for j in (0, 1))
+            src = np.concatenate([k0, k1, k2])
+            r = r[src]
+            v = np.concatenate([v[k0], mid_g[k1, 0], mid_g[k2, 1]])
+            ends = (k0.size, k0.size + k1.size)
+            # the first piece is pushed last, so it is refined next
+            for a in reversed(range(0, src.size, per)):
+                piece = u.take(src[a : a + per], axis=0)
+                piece[max(ends[0] - a, 0) : max(ends[1] - a, 0)] *= S[:, 0]
+                piece[max(ends[1] - a, 0) :] *= S[:, 1]
+                stack.append((r[a : a + per], v[a : a + per], piece, level))
+                waiting += piece.shape[0]
 
 
 def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> np.ndarray:
@@ -309,9 +403,9 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     spectrum is first shifted by its centre c = (min + max) // 2.  The
     centred spectrum has half-width deg = max |g - c| and width
     W = max - min <= 2*deg.  The estimator samples every row on a grid of
-    M = default_grid_size(deg) points, then repeatedly bisects the sample
-    spacing around every sample whose squared modulus is within the current
-    curvature bound of the row maximum.
+    M = default_grid_size(deg) points, keeps every sample whose squared
+    modulus is within the curvature gap of its row maximum, then repeatedly
+    halves the sample spacing around the kept samples.
 
     The grid stage has two kernels, chosen per call from n and M alone.  With
     n <= 4*log2(M) terms (_PRODUCT_TERMS_PER_LOG2; the measured crossover
@@ -319,20 +413,43 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     K1 = 2^floor(log2(M)/2) and takes all samples of a block of rows as one
     (K2 x n) diag(c) (n x K1) matrix product, costing O(n M) per row.  Each
     twiddle is exp(2 pi i m / M) of an exact int64 index m = (g mod M)*k1
-    mod M or (g mod M)*K1*k2 mod M, so its error is a few ulps whatever g
-    is, and each sample is an n-term dot product: its rounding error stays
-    below (1.5 n + 40) u sum|c_g| with u = 2^-53 (sqrt(2) gamma_{n+2} sum|c_g|
-    for the sum, Higham, Accuracy and Stability of Numerical Algorithms,
+    mod M or (g mod M)*K1*k2 mod M, taken as the product of two table
+    entries (_unit_roots), so its error is a few ulps whatever g is, and
+    each sample is an n-term dot product: its rounding error stays below
+    (1.5 n + 40) u sum|c_g| with u = 2^-53 (sqrt(2) gamma_{n+2} sum|c_g| for
+    the sum, Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 3.6, plus the twiddles and the two products per term).  Denser
     spectra take an M-point inverse FFT per row, costing O(M log M).
+
+    In the refinement each kept sample carries its term vector
+    u = (c_g exp(i g t)), seeded once from the exact-index roots
+    exp(2 pi i ((g mod M) k mod M) / M).  A round on the grid of N points
+    makes the n exact-index steps s = exp(2 pi i (g mod 2N) / 2N); the
+    values at the two midpoints t -/+ pi/N are the mat-vecs u @ conj(s) and
+    u @ s, and only the children that survive the keep test are built, as
+    u*conj(s) and u*s.  So a round costs a few complex multiplies per term
+    and point and no exponential, and the phase error of a term grows by a
+    few ulps per round, whatever |g t| is.  Rows are refined block by
+    block right after their grid, in chunks of at most _REFINE_VALUES term
+    values; survivors that outgrow a chunk are cut into pieces, all but the
+    first wait on a depth-first stack, and every round charges its arrays,
+    the waiting pieces and the kept grid samples against the byte cap
+    before it allocates.  A block takes at most
+    _REFINE_SAMPLES_PER_GRID_POINT samples per grid point in all, which no
+    row reaches at tolerances of 1e-3 and above; a row of nearly constant
+    modulus that would go past it raises ResourceLimitError.
 
     |f|^2 is a real trigonometric polynomial of degree at most W, so
     Bernstein's inequality bounds its second derivative by W^2 sup|f|^2; a
     sample within h/2 of the argmax therefore falls short of the maximum by
     at most (W*h/2)^2/2 <= (deg*h)^2/2 relative, and the surviving samples
-    always cover the true argmax.  Below 1e-15 that bound sinks under float64
-    resolution: samples tie with the maximum, the kept set doubles every
-    round, so such tolerances raise DomainError.
+    always cover the true argmax.  The keep test compares each sample with
+    best, the largest value sampled so far on its row.  best only ever holds
+    sampled values, all at most sup|f|^2, so the sample nearest the true
+    argmax always stays within the gap of best and is never pruned, in
+    whatever order the chunks are refined.  Below 1e-15 the bound sinks
+    under float64 resolution: samples tie with the maximum, the kept set
+    doubles every round, so such tolerances raise DomainError.
     """
     if not (_REL_TOL_FLOOR <= rel_tol <= 0.1):
         raise DomainError(f"need rel_tol in [{_REL_TOL_FLOOR:g}, 0.1], got {rel_tol}")
@@ -347,52 +464,25 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     M = default_grid_size(deg)
     chunk = min(B, max(1, _BLOCK_POINTS // M))
     _check_bytes(_BYTES_PER_GRID_POINT * M * chunk, f"{chunk} rows of a {M}-point grid")
-    h0 = 2.0 * np.pi / M
 
     best = np.zeros(B)
-    kept_row: list = []
-    kept_t: list = []
-    kept_g: list = []
-    gap0 = min(0.49, 1.02 * (deg * h0) ** 2 / 2.0)
+    gap0 = _gap(deg, M, 0)
     product = n <= _PRODUCT_TERMS_PER_LOG2 * (M.bit_length() - 1)
     values = _product_values if product else _fft_values
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
         vals = values(freqs, rows[lo:hi], M)
-        g = vals.real**2
-        g += vals.imag**2
+        sq = vals.view(np.float64)
+        np.square(sq, out=sq)
+        g = sq[:, 0::2] + sq[:, 1::2]
+        del vals, sq
         bmax = g.max(axis=1)
         best[lo:hi] = bmax
-        keep = g >= bmax[:, None] * (1.0 - gap0)
-        r, k = np.nonzero(keep)
-        kept_row.append(r + lo)
-        kept_t.append(k * h0)
-        kept_g.append(g[r, k])
-    del vals, keep
-    row_idx = np.concatenate(kept_row)
-    t = np.concatenate(kept_t)
-    g = np.concatenate(kept_g)
-
-    h = h0
-    gap = gap0
-    while gap > rel_tol:
-        values_per_chunk = min(2 * t.size, _direct_chunk(n)) * n
-        _check_bytes(
-            _BYTES_PER_KEPT_POINT * t.size + _BYTES_PER_TERM_VALUE * values_per_chunk,
-            f"refining {t.size} kept points of {n} terms",
-        )
-        mid_t = np.concatenate([t - h / 2.0, t + h / 2.0])
-        mid_rows = np.concatenate([row_idx, row_idx])
-        mid_v = _direct_values(freqs, rows, mid_rows, mid_t)
-        mid_g = mid_v.real**2 + mid_v.imag**2
-        row_idx = np.concatenate([row_idx, mid_rows])
-        t = np.concatenate([t, mid_t])
-        g = np.concatenate([g, mid_g])
-        np.maximum.at(best, row_idx, g)
-        h /= 2.0
-        gap = 1.02 * (deg * h) ** 2 / 2.0
-        keep = g >= best[row_idx] * (1.0 - gap)
-        row_idx, t, g = row_idx[keep], t[keep], g[keep]
+        if gap0 > rel_tol:
+            at = np.flatnonzero(g >= bmax[:, None] * (1.0 - gap0))
+            seeds = (*np.divmod(at, M), g.ravel()[at])
+            del g, at  # the refinement charges the kept samples, not the grid
+            _refine(freqs, rows[lo:hi], M, deg, rel_tol, best[lo:hi], *seeds)
     return np.sqrt(best)
 
 

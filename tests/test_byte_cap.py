@@ -26,8 +26,21 @@ from thinset_lab import (
     sample_driver,
     sup_norm,
     sup_norm_rows,
+    trigpoly,
 )
 from test_quasi import _traced_peak
+
+
+def _flat_sup(n, tol=0.05, rows=1):
+    """Sup norms of n-term rows on a degree-63 spectrum, flat to 1e-6.
+
+    Every one of the 1024 grid points survives the grid stage, and at tol
+    0.05 a single refinement round follows on all of them.
+    """
+    freqs = np.concatenate([[-63], np.arange(n - 2), [63]])
+    row = np.full(n, 1e-6, dtype=np.complex128)
+    row[0] = 1.0
+    return sup_norm_rows(freqs, np.tile(row, (rows, 1)), tol)
 
 # site -> (call at size s, bytes charged at size s, size at the cap)
 CASES = {
@@ -48,6 +61,14 @@ CASES = {
         lambda B: sup_norm_rows(np.arange(-31, 32), np.ones((B, 63)), 0.05),
         lambda B: 64 * default_grid_size(31) * B,
         4,
+    ),
+    # a refinement round charges 16 bytes per term value and 64 per sample
+    # for its chunk and the three survivors each sample may build, plus 24
+    # per kept grid sample; here it outweighs the 64*1024-byte grid
+    "sup_norm_rows_refine": (
+        _flat_sup,
+        lambda n: (16 * n + 64) * 4 * 1024 + 24 * 1024,
+        12,
     ),
     "sample_driver": (
         lambda n: sample_driver(DriverDistribution("p_stable", p=1.5), n),
@@ -104,3 +125,27 @@ def test_refinement_rounds_charge_their_arrays_before_allocating(monkeypatch):
     err, peak = _traced_peak(lambda: sup_norm(f, 1e-3))
     assert isinstance(err, ResourceLimitError) and "refining" in str(err)
     assert peak <= cap
+
+
+# call -> share of its largest charge that the traced peak must reach; on
+# 40-term flat rows, where carried term values dominate and every sample
+# survives the first rounds, the peak reads about 3/4 of the charge
+PEAK_CASES = {
+    "flat-2-terms": (lambda: _flat_sup(2, 1e-3, rows=8), 0.0),
+    "flat-40-terms": (lambda: _flat_sup(40, 1e-3, rows=64), 0.5),
+    "dirichlet-2047": (lambda: sup_norm(TrigPolynomial.indicator(range(-1023, 1024)), 1e-9), 0.0),
+    "interval-rows": (
+        lambda: sup_norm_rows(np.arange(-255, 256), np.random.default_rng(3).standard_normal((20, 511)), 1e-3),
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PEAK_CASES))
+def test_refinement_peak_stays_within_its_largest_charge(monkeypatch, case):
+    call, floor = PEAK_CASES[case]
+    charges = []
+    check = trigpoly._check_bytes
+    monkeypatch.setattr(trigpoly, "_check_bytes", lambda need, what: (charges.append(need), check(need, what)))
+    _, peak = _traced_peak(call)
+    assert floor * max(charges) <= peak <= max(charges)

@@ -14,10 +14,9 @@ from thinset_lab import (
     make_rng,
     resolve_seed,
     sample_driver,
-    sample_isotropic_stable,
-    sample_positive_stable,
     stable_norm,
 )
+from thinset_lab.sampler import _sample_isotropic_stable, _sample_positive_stable
 
 
 def test_resolve_seed_precedence(monkeypatch):
@@ -81,7 +80,7 @@ def test_positive_stable_laplace_transform():
     rng = make_rng(0, 50)
     n = 200_000
     for alpha in (0.6, 0.75, 0.9):
-        x = sample_positive_stable(alpha, n, rng)
+        x = _sample_positive_stable(alpha, n, rng)
         assert np.all(x > 0)
         for lam in (0.5, 1.0, 2.0):
             emp = float(np.mean(np.exp(-lam * x)))
@@ -91,15 +90,15 @@ def test_positive_stable_laplace_transform():
 def test_positive_stable_domain():
     rng = make_rng(0)
     with pytest.raises(DomainError):
-        sample_positive_stable(1.0, 10, rng)
+        _sample_positive_stable(1.0, 10, rng)
     with pytest.raises(DomainError):
-        sample_positive_stable(0.5, 0, rng)
+        _sample_positive_stable(0.5, 0, rng)
 
 
 def test_isotropic_stable_characteristic_function():
     n = 200_000
     for p in (1.3, 1.7, 2.0):
-        z = sample_isotropic_stable(p, n, make_rng(0, 60))
+        z = _sample_isotropic_stable(p, n, make_rng(0, 60))
         for radius in (0.5, 1.0):
             emp = float(np.mean(np.cos(radius * z.real)))
             assert abs(emp - math.exp(-(radius**p))) < 4.0 / math.sqrt(n)
@@ -109,20 +108,20 @@ def test_isotropic_stable_characteristic_function():
 
 
 def test_p2_reduces_to_complex_gaussian():
-    z = sample_isotropic_stable(2.0, 100_000, make_rng(0, 61))
+    z = _sample_isotropic_stable(2.0, 100_000, make_rng(0, 61))
     # subordinator degenerates to the constant 2: Re Z ~ N(0, 2)
     assert abs(float(np.var(z.real)) - 2.0) < 0.05
     assert abs(float(np.var(z.imag)) - 2.0) < 0.05
     a = sample_driver(DriverDistribution("complex_gaussian", seed=1, stream_id=2), 50)
-    b = sample_isotropic_stable(2.0, 50, make_rng(1, 2, 0))
+    b = _sample_isotropic_stable(2.0, 50, make_rng(1, 2, 0))
     assert np.array_equal(a, b)
 
 
 def test_stability_under_averaging():
     n = 200_000
     p = 1.5
-    z1 = sample_isotropic_stable(p, n, make_rng(0, 70))
-    z2 = sample_isotropic_stable(p, n, make_rng(0, 71))
+    z1 = _sample_isotropic_stable(p, n, make_rng(0, 70))
+    z2 = _sample_isotropic_stable(p, n, make_rng(0, 71))
     mixed = (z1 + z2) / 2.0 ** (1.0 / p)
     for radius in (0.5, 1.0, 2.0):
         emp = float(np.mean(np.cos(radius * mixed.real)))

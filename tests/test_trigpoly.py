@@ -20,6 +20,7 @@ from thinset_lab import (
     psi_set_norm,
     sup_norm,
     sup_norm_rows,
+    trigpoly,
 )
 from thinset_lab.trigpoly import _PRODUCT_TERMS_PER_LOG2, _fft_values, _product_values
 from util_oracles import direct_values, uncentred_sup_norm_rows
@@ -291,29 +292,109 @@ def _differential_spectra(rng):
     return out
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-9])
-def test_centred_sup_matches_uncentred_kernel_and_fine_grid(tol):
-    rng = np.random.default_rng(16)
+def _assert_certified(freqs, rows, tol, *estimates):
+    """Each estimate agrees with the termwise uncentred kernel and a fine direct grid.
+
+    Both kernels certify true sup in [S, S(1+tol)], and a 2^16-point grid falls
+    short of the true sup by at most (W pi / 2^16)^2 / 2 relative.
+    """
     M = 1 << 16
-    product_path = set()
-    for freqs, rows in _differential_spectra(rng):
-        half = (int(freqs[-1]) - int(freqs[0]) + 1) // 2
-        product_path.add(freqs.size <= _PRODUCT_TERMS_PER_LOG2 * math.log2(default_grid_size(half)))
-        new = sup_norm_rows(freqs, rows, tol)
-        old = uncentred_sup_norm_rows(freqs, rows, tol)
-        width = int(freqs[-1] - freqs[0])
-        # a fine grid falls short of the true sup by at most (W pi / M)^2 / 2
-        grid_gap = (width * math.pi / M) ** 2 / 2.0
-        for i in range(rows.shape[0]):
-            f = TrigPolynomial(zip(freqs.tolist(), rows[i].tolist()))
-            dense = np.abs(direct_values(f, M)).max()
-            # both kernels certify true sup in [S, S(1+tol)]
+    old = uncentred_sup_norm_rows(freqs, rows, tol)
+    width = int(freqs[-1] - freqs[0])
+    grid_gap = (width * math.pi / M) ** 2 / 2.0
+    for i in range(rows.shape[0]):
+        f = TrigPolynomial(zip(freqs.tolist(), rows[i].tolist()))
+        dense = np.abs(direct_values(f, M)).max()
+        for new in estimates:
             assert new[i] <= old[i] * (1.0 + tol) * (1.0 + 1e-12)
             assert old[i] <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
             assert dense <= new[i] * (1.0 + tol) * (1.0 + 1e-12)
             assert new[i] <= dense / math.sqrt(1.0 - grid_gap) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_centred_sup_matches_uncentred_kernel_and_fine_grid(tol):
+    rng = np.random.default_rng(16)
+    product_path = set()
+    for freqs, rows in _differential_spectra(rng):
+        half = (int(freqs[-1]) - int(freqs[0]) + 1) // 2
+        product_path.add(freqs.size <= _PRODUCT_TERMS_PER_LOG2 * math.log2(default_grid_size(half)))
+        _assert_certified(freqs, rows, tol, sup_norm_rows(freqs, rows, tol))
     # the spectra exercise both grid kernels
     assert product_path == {True, False}
+
+
+def _flat_heavy_tailed_rows(rng, n):
+    """Three rows in which one coefficient is 10^3 times the rest, as when one
+    heavy-tailed p-stable draw dominates: |f|^2 then varies by well under the
+    first curvature gap, and the grid stage keeps nearly every sample."""
+    rows = 1e-3 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    rows[np.arange(3), rng.integers(0, n, 3)] = np.exp(2j * np.pi * rng.random(3))
+    return rows
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_carried_refinement_matches_termwise_kernel_and_fine_grid(monkeypatch, tol):
+    rng = np.random.default_rng(19)
+    sparse = np.sort(rng.choice(np.arange(-60, 61), 8, replace=False)).astype(np.int64)
+    interval = np.arange(-20, 21)  # 41 terms: the FFT grid
+    cases = [
+        (sparse, rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))),
+        (sparse, _flat_heavy_tailed_rows(rng, 8)),
+        (interval, _flat_heavy_tailed_rows(rng, interval.size)),
+    ]
+    waiting = []
+    charge = trigpoly._charge_round
+
+    def spy(n, kept, wait, seeds):
+        waiting.append(wait)
+        charge(n, kept, wait, seeds)
+
+    for freqs, rows in cases:
+        whole = sup_norm_rows(freqs, rows, tol)
+        # chunks of 64 term values: survivors outgrow them and wait on the stack
+        with monkeypatch.context() as m:
+            m.setattr(trigpoly, "_REFINE_VALUES", 64)
+            m.setattr(trigpoly, "_charge_round", spy)
+            split = sup_norm_rows(freqs, rows, tol)
+        _assert_certified(freqs, rows, tol, whole, split)
+    assert max(waiting) > 0
+
+
+@pytest.mark.parametrize(
+    "freqs, row, tol",
+    [
+        ([0, 5], [1.0, 1e-20], 1e-9),  # constant modulus in float64
+        (list(range(0, 112, 7)), [1.0] + [1e-9] * 15, 1e-15),
+        ([0, 5], [0.0, 0.0], 1e-9),
+    ],
+)
+def test_rows_of_nearly_constant_modulus_are_refused_quickly(freqs, row, tol):
+    # every sample stays within the gap of the row maximum round after round,
+    # so the kept set triples each round
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="nearly constant modulus"):
+        sup_norm_rows(np.array(freqs), np.array([row], dtype=np.complex128), tol)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sup_norm_at_half_width_2_18_reaches_the_aligned_sum():
+    # with c_g = a_g exp(-i g t*), a_g > 0, the sup is sum a_g, reached at
+    # t* = 2 pi p / q, which lies on no dyadic grid; the phases use the exact
+    # index g*p mod q.  The exact sum is the oracle here: the termwise kernel
+    # and a fine direct grid would each need more than 2^23 points
+    rng = np.random.default_rng(20)
+    inner = rng.choice(np.arange(1 - 2**18, 2**18), 4, replace=False)
+    freqs = np.sort(np.concatenate([[-(2**18), 2**18], inner])) + 12345
+    q = 1_000_003
+    p = int(rng.integers(1, q))
+    a = rng.uniform(0.5, 2.0, (2, freqs.size))
+    rows = a * np.exp(-2j * np.pi * (freqs * p % q) / q)
+    exact = a.sum(axis=1)
+    for tol in (1e-3, 1e-9):
+        s = sup_norm_rows(freqs, rows, tol)
+        assert np.all(s <= exact * (1.0 + 1e-12))
+        assert np.all(exact <= s * (1.0 + tol) * (1.0 + 1e-12))
 
 
 def _odd_width_spectrum(rng, M, n, width):
