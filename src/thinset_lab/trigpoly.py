@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, _check_bytes
+from .errors import DomainError, _check_bytes
 
 __all__ = [
     "TrigPolynomial",
@@ -66,13 +66,13 @@ _REFINE_VALUES = 1 << 20
 _BYTES_PER_TERM_VALUE = 16
 _BYTES_PER_SAMPLE = 64
 _BYTES_PER_SEED = 24
-# samples a block's refinement may take in all, per grid point of the block.
-# A round at most triples the kept samples, and at the brackets' tolerance
-# 1e-3 the gap (at most 0.079 on the grid) needs at most four rounds, so a
-# bracket takes at most 1 + 3 + 9 + 27 = 40 per grid point and is never
-# refused.  At smaller tolerances a row of nearly constant modulus keeps
-# almost every sample round after round; it is refused in its sixth round
-_REFINE_SAMPLES_PER_GRID_POINT = 256
+# bytes per kept point of a breadth-first bisection round, which held every
+# kept point of a level at once (tracemalloc read 180).  The depth-first
+# refinement holds far fewer, but it charges the samples it has refined at
+# each level, over all chunks of a block, at this rate: a level is refused
+# where a breadth-first round over it would outgrow the byte cap, which also
+# bounds the work a row of nearly constant modulus takes before it is refused
+_BYTES_PER_LEVEL_POINT = 192
 
 
 def _integral(g):
@@ -322,7 +322,7 @@ def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
     steps: list = []  # steps[L]: columns conj(s), s onto the grid of M*2^(L+1) points
     stack: list = []
     waiting = 0  # samples on the stack
-    budget, spent = _REFINE_SAMPLES_PER_GRID_POINT * M * rows.shape[0], 0
+    at_level: list = []  # at_level[L]: samples refined so far at level L
     for lo in range(0, row.size, per):
         hi = min(row.size, lo + per)
         _charge_round(n, hi - lo, 0, row.size)
@@ -334,12 +334,13 @@ def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
         while stack:
             r, v, u, level = stack.pop()
             waiting -= r.size
-            spent += r.size
-            if spent > budget:
-                raise ResourceLimitError(
-                    f"refining {rows.shape[0]} rows of {n} terms needs more than {budget} samples;"
-                    " a row of nearly constant modulus keeps almost every sample"
-                )
+            if len(at_level) == level:
+                at_level.append(0)
+            at_level[level] += r.size
+            _check_bytes(
+                _BYTES_PER_LEVEL_POINT * at_level[level],
+                f"refining {at_level[level]} kept points of {n} terms in round {level + 1}",
+            )
             _charge_round(n, r.size, waiting, row.size)
             if len(steps) == level:
                 N = M << (level + 1)
@@ -434,10 +435,13 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     values; survivors that outgrow a chunk are cut into pieces, all but the
     first wait on a depth-first stack, and every round charges its arrays,
     the waiting pieces and the kept grid samples against the byte cap
-    before it allocates.  A block takes at most
-    _REFINE_SAMPLES_PER_GRID_POINT samples per grid point in all, which no
-    row reaches at tolerances of 1e-3 and above; a row of nearly constant
-    modulus that would go past it raises ResourceLimitError.
+    before it allocates.  The samples a block has refined at each level, over
+    all its chunks, are charged too, at the bytes per point of a
+    breadth-first round that held the whole level at once
+    (_BYTES_PER_LEVEL_POINT): a level is refused where such a round would
+    outgrow the cap.  A row of nearly constant modulus keeps almost every
+    sample round after round, so at small tolerances it raises
+    ResourceLimitError after a bounded amount of work.
 
     |f|^2 is a real trigonometric polynomial of degree at most W, so
     Bernstein's inequality bounds its second derivative by W^2 sup|f|^2; a

@@ -13,6 +13,7 @@ from thinset_lab import (
     ResourceLimitError,
     TrigPolynomial,
     default_grid_size,
+    errors,
     evaluate_grid,
     fq_norm,
     lorentz_norms,
@@ -361,21 +362,53 @@ def test_carried_refinement_matches_termwise_kernel_and_fine_grid(monkeypatch, t
     assert max(waiting) > 0
 
 
+def test_barely_flat_row_at_the_default_tolerance_is_answered():
+    # |f|^2 varies by 4e-8 relative, so every grid sample survives six rounds
+    # at tol 1e-9, about 2^20 samples in the sixth; the byte cap admits that
+    f = TrigPolynomial({0: 1.0, 5: 1e-8})
+    s = sup_norm(f)
+    assert s <= (1.0 + 1e-8) * (1.0 + 1e-12)
+    assert 1.0 + 1e-8 <= s * (1.0 + 1e-9) * (1.0 + 1e-12)
+
+
+def _rounds(freqs, tol):
+    """Bisection rounds sup_norm_rows makes on this spectrum at tol."""
+    c = (freqs[0] + freqs[-1]) // 2
+    deg = max(c - freqs[0], freqs[-1] - c)
+    M = default_grid_size(deg)
+    return next(L for L in range(1, 64) if trigpoly._gap(deg, M, L) <= tol)
+
+
 @pytest.mark.parametrize(
-    "freqs, row, tol",
+    "freqs, row, tol, cap",
     [
-        ([0, 5], [1.0, 1e-20], 1e-9),  # constant modulus in float64
-        (list(range(0, 112, 7)), [1.0] + [1e-9] * 15, 1e-15),
-        ([0, 5], [0.0, 0.0], 1e-9),
+        ([0, 5], [1.0, 1e-20], 1e-9, None),  # constant modulus in float64
+        (list(range(0, 112, 7)), [1.0] + [1e-9] * 15, 1e-15, 1 << 24),
+        ([0, 5], [0.0, 0.0], 1e-9, 1 << 24),
     ],
 )
-def test_rows_of_nearly_constant_modulus_are_refused_quickly(freqs, row, tol):
+def test_rows_of_nearly_constant_modulus_are_refused_by_the_byte_cap(monkeypatch, freqs, row, tol, cap):
     # every sample stays within the gap of the row maximum round after round,
-    # so the kept set triples each round
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="nearly constant modulus"):
+    # so the kept set nearly triples each round until the samples of one
+    # round, charged as if held at once, outgrow the cap.  Small chunks keep
+    # the rounds' own charges under a lowered cap
+    if cap is not None:
+        monkeypatch.setattr(errors, "_BYTES_CAP", cap)
+        monkeypatch.setattr(trigpoly, "_REFINE_VALUES", 256)
+    bound = _rounds(freqs, tol) * (errors._BYTES_CAP // trigpoly._BYTES_PER_LEVEL_POINT)
+    refined = [0]
+    charge = trigpoly._charge_round
+
+    def spy(n, kept, waiting, seeds):
+        # no round refines more samples than the cap admits; failing here,
+        # not after the call, keeps an unbounded refinement from hanging
+        refined[0] += kept
+        assert refined[0] <= bound
+        charge(n, kept, waiting, seeds)
+
+    monkeypatch.setattr(trigpoly, "_charge_round", spy)
+    with pytest.raises(ResourceLimitError, match="kept points of .* in round"):
         sup_norm_rows(np.array(freqs), np.array([row], dtype=np.complex128), tol)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_sup_norm_at_half_width_2_18_reaches_the_aligned_sum():
