@@ -63,11 +63,9 @@ class OrliczFunction:
         if not (inv > 0.0 and math.isfinite(1.0 / inv)):
             raise DomainError(f"r={r} puts the {self.family} inverse at 1 at {inv}, outside float range")
         if self.family == "log_type":
-            # 1 + log1p(x) rounds to 1 below x = 2^-53, so for tiny r the
-            # bisection meets a phi that jumps from x to inf; check its root
-            # with log1p(log1p(x)), which keeps those digits
-            with np.errstate(over="ignore"):
-                at_inv = float(inv * np.exp(np.log1p(np.log1p(inv)) / r))
+            # at tiny r the root of phi(x) = 1 lies below the bisection's
+            # resolution, where phi jumps from under 1 to inf
+            at_inv = float(self(inv))
             if not abs(at_inv - 1.0) <= _INVERSE_CHECK_TOL:
                 raise DomainError(
                     f"r={r} is too small for float64: the log_type inverse at 1 comes out at {inv:.9g}, "
@@ -79,7 +77,9 @@ class OrliczFunction:
         with np.errstate(over="ignore"):
             if self.family == "exp_type":
                 return np.expm1(x**self.r)
-            return x * (1.0 + np.log1p(x)) ** (1.0 / self.r)
+            # (1 + log1p(x))^(1/r) as exp(log1p(log1p(x))/r): rounding
+            # 1 + log1p(x) would cost about 2^-53/r relative accuracy
+            return x * np.exp(np.log1p(np.log1p(x)) / self.r)
 
     def inverse(self, y):
         """Inverse on y >= 0; exact for exp_type, bisection for log_type."""

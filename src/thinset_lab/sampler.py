@@ -10,7 +10,7 @@ driver, so both kinds share one code path and one law.
 
 Stream contract: draw j of stream (seed, stream_id) is Philox block j;
 trial i of an n-term row is draws [i*n, (i+1)*n).  The Philox key is the
-one make_rng(seed, stream_id, 0) derives, and block j is the j-th
+one make_rng(seed, stream_id) derives, and block j is the j-th
 four-uniform block that generator emits: Kanter's angle from lane 0, the
 exponential -log1p(-u) from lane 1 and one Box-Muller pair from lanes 2
 and 3.  A Rademacher draw takes its sign from lane 0 and leaves the other
@@ -65,17 +65,18 @@ def resolve_seed(seed: int | None = None) -> int:
     return 0
 
 
-def make_rng(seed: int, stream_id: int = 0, trial_index: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream_id, trial_index), all >= 0.
+def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """Philox generator keyed by (seed, stream_id), both >= 0.
 
-    Driver streams use trial_index 0 only: sample_driver advances
-    make_rng(seed, stream_id, 0) to a trial's first block instead of keying
-    a generator per trial.
+    sample_driver advances make_rng(d.seed, d.stream_id) to a trial's first
+    block instead of keying a generator per trial.
     """
-    key = [int(seed), int(stream_id), int(trial_index)]
+    key = [int(seed), int(stream_id)]
     if min(key) < 0:
-        raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+        raise DomainError(f"need seed and stream_id >= 0, got {key}")
+    # the stream contract keys Philox by [seed, stream_id, 0]; the trailing 0
+    # changes the seed state once the key spans more than four 32-bit words
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key + [0])))
 
 
 @dataclass(frozen=True)
@@ -111,22 +112,15 @@ def _draw_bytes(n: int) -> int:
     return n * _BYTES_PER_DRAW + _CHUNK_BYTES
 
 
-def _check_n(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    return n
-
-
-def _blocks(rng: np.random.Generator, n: int):
-    """(lo, hi, u) over n draws: u holds the (hi - lo, 4) uniforms of draws lo..hi-1."""
-    for lo in range(0, n, _CHUNK_DRAWS):
-        hi = min(n, lo + _CHUNK_DRAWS)
-        yield lo, hi, rng.random((hi - lo, _LANES))
-
-
 def _kanter(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Positive alpha-stable values from lanes 0 and 1 of a uniform block."""
+    """Positive alpha-stable values, E exp(-lam X) = exp(-lam^alpha), 0 < alpha < 1.
+
+    Kanter's representation from lanes 0 and 1 of a uniform block: with
+    U = pi u0 uniform on (0, pi) and W = -log1p(-u1) standard exponential,
+
+        X = sin(alpha U) * sin(U)^(-1/alpha)
+              * (sin((1 - alpha) U) / W)^((1 - alpha)/alpha).
+    """
     # exact-zero uniforms have measure zero; clamp so the 0^negative branch
     # cannot produce inf
     a = np.maximum(np.pi * u[:, 0], 1e-12)
@@ -138,44 +132,38 @@ def _kanter(alpha: float, u: np.ndarray) -> np.ndarray:
     )
 
 
-def _sample_positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive alpha-stable draws with E exp(-lam X) = exp(-lam^alpha).
+def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.ndarray:
+    """Draws [trial_index*n, (trial_index+1)*n) of the (d.seed, d.stream_id) stream.
 
-    Kanter's representation: with U uniform on (0, pi) and W standard
-    exponential,
-
-        X = sin(alpha U) * sin(U)^(-1/alpha)
-              * (sin((1 - alpha) U) / W)^((1 - alpha)/alpha).
-
-    Each draw takes one four-uniform block from rng: U from lane 0 and
-    W = -log1p(-u) from lane 1.  Requires 0 < alpha < 1.
+    The generator is make_rng(d.seed, d.stream_id) advanced by trial_index*n
+    blocks, so sample_driver(d, T*n).reshape(T, n)[i] equals
+    sample_driver(d, n, trial_index=i).  rademacher yields real +-1 values
+    from lane 0.  The other kinds yield complex Z = sqrt(A) (G1 + i G2), with
+    A = 2 for complex_gaussian (p = 2) and A = 2X, X positive (p/2)-stable
+    from lanes 0 and 1, for p_stable; the Box-Muller pair of lanes 2 and 3
+    gives G1 + i G2 = sqrt(2E) exp(2 pi i u3) with E = -log1p(-u2) standard
+    exponential.  So |Z| = 2 sqrt(X E), with X = 1 at p = 2.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"need 0 < alpha < 1, got alpha={alpha}")
-    n = _check_n(n)
+    key = [d.seed, d.stream_id, int(trial_index)]
+    if min(key) < 0:
+        raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
+    start = key[2] * n
+    if start >= 1 << 64:
+        raise DomainError(f"start draw trial_index*n = {start} is past the 2^64-block stream")
     _check_bytes(_draw_bytes(n), f"{n} draws")
-    out = np.empty(n)
-    for lo, hi, u in _blocks(rng, n):
-        out[lo:hi] = _kanter(alpha, u)
-    return out
-
-
-def _sample_isotropic_stable(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic complex draws with CF exp(-|z|^p), 1 < p <= 2.
-
-    Z = sqrt(A) (G1 + i G2) with A = 2 at p = 2 and A = 2X, X positive
-    (p/2)-stable from lanes 0 and 1, below it; the Box-Muller pair of lanes
-    2 and 3 gives G1 + i G2 = sqrt(2E) exp(2 pi i u3) with E = -log1p(-u2)
-    standard exponential.  So |Z| = 2 sqrt(X E), with X = 1 at p = 2.
-    """
-    p = float(p)
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"need 1 < p <= 2, got p={p}")
-    n = _check_n(n)
-    _check_bytes(_draw_bytes(n), f"{n} draws")
-    out = np.empty(n, dtype=np.complex128)
-    for lo, hi, u in _blocks(rng, n):
+    rng = make_rng(d.seed, d.stream_id)
+    rng.bit_generator.advance(start)
+    p = 2.0 if d.kind == "complex_gaussian" else d.p  # None for rademacher
+    out = np.empty(n) if p is None else np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, _CHUNK_DRAWS):
+        hi = min(n, lo + _CHUNK_DRAWS)
+        u = rng.random((hi - lo, _LANES))  # the uniforms of draws lo..hi-1
+        if p is None:
+            out[lo:hi] = np.where(u[:, 0] < 0.5, -1.0, 1.0)
+            continue
         modulus = -np.log1p(-u[:, 2])
         if p < 2.0:
             modulus *= _kanter(p / 2.0, u)
@@ -185,29 +173,3 @@ def _sample_isotropic_stable(p: float, n: int, rng: np.random.Generator) -> np.n
         np.multiply(modulus, np.cos(angle), out=out.real[lo:hi])
         np.multiply(modulus, np.sin(angle), out=out.imag[lo:hi])
     return out
-
-
-def sample_driver(d: DriverDistribution, n: int, trial_index: int = 0) -> np.ndarray:
-    """Draws [trial_index*n, (trial_index+1)*n) of the (d.seed, d.stream_id) stream.
-
-    The generator is make_rng(d.seed, d.stream_id, 0) advanced by
-    trial_index*n blocks, so sample_driver(d, T*n).reshape(T, n)[i] equals
-    sample_driver(d, n, trial_index=i).  rademacher yields real +-1 values;
-    the other kinds yield complex.
-    """
-    key = [d.seed, d.stream_id, int(trial_index)]
-    if min(key) < 0:
-        raise DomainError(f"need seed, stream_id and trial_index >= 0, got {key}")
-    n = _check_n(n)
-    start = key[2] * n
-    if start >= 1 << 64:
-        raise DomainError(f"start draw trial_index*n = {start} is past the 2^64-block stream")
-    _check_bytes(_draw_bytes(n), f"{n} draws")
-    rng = make_rng(d.seed, d.stream_id)
-    rng.bit_generator.advance(start)
-    if d.kind == "rademacher":
-        out = np.empty(n)
-        for lo, hi, u in _blocks(rng, n):
-            out[lo:hi] = np.where(u[:, 0] < 0.5, -1.0, 1.0)
-        return out
-    return _sample_isotropic_stable(2.0 if d.kind == "complex_gaussian" else d.p, n, rng)

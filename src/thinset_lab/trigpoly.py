@@ -7,11 +7,12 @@ frequencies placed by their residue mod M), a certified sup-norm estimator,
 and L^q function norms by quadrature.  The sup norm grids a sparse spectrum
 by a rank-n twiddle product and a dense one by the FFT; ``evaluate_grid``
 and the quadratures always take the FFT.  It then refines the near-maximal
-grid samples by bisection, each sample carrying its n term values
-c_g exp(i g t) and stepping them to the midpoints by one complex multiply
-per term, so no round evaluates an exponential per term and point.  Every
-dense grid and every refinement round is checked against the package byte
-cap before it is allocated.
+grid samples by bisection of disjoint cells, one centred at each kept
+sample: each cell carries its n term values c_g exp(i g t) at its centre
+and steps them to its two halves' centres by one complex multiply per term,
+so no round evaluates an exponential per term and point, and no point is
+evaluated twice.  Every dense grid and every refinement round is checked
+against the package byte cap before it is allocated.
 """
 
 from __future__ import annotations
@@ -55,20 +56,22 @@ _PRODUCT_TERMS_PER_LOG2 = 4
 # grid points per block of rows in the sup norm's grid stage, both kernels
 _BLOCK_POINTS = 1 << 21
 # term values per chunk of the sup norm's refinement: a chunk carries at most
-# this many c_g exp(i g t), and survivors that outgrow it are cut into pieces
+# this many c_g exp(i g t), and halves that outgrow it are cut into pieces
 _REFINE_VALUES = 1 << 20
 # bytes charged by a refinement round per carried term value (one complex128)
-# and per carried sample (its row, value, midpoints and keep indices), for
-# the chunk, the three survivors each of its samples may build and the
-# pieces waiting on the stack, plus per kept grid sample (row, index, value).
-# tracemalloc peaks at 0.3-0.8 of the largest charge on flat heavy-tailed
-# rows of 2-40 terms, Dirichlet kernels of 511 and 2047 terms and lacunary rows
+# and per cell (its row, two half values and keep indices), for the chunk,
+# the two halves each of its cells may build and the pieces waiting on the
+# stack; per kept grid sample (row, index); and per term of each level's step
+# table s and of the conjugate a round takes of it.  tracemalloc peaks at
+# 0.5-0.8 of the largest charge on flat heavy-tailed rows of 2-40 terms, a
+# Dirichlet kernel of 2047 terms and rows of 511 Gaussian terms
 _BYTES_PER_TERM_VALUE = 16
-_BYTES_PER_SAMPLE = 64
-_BYTES_PER_SEED = 24
+_BYTES_PER_CELL = 64
+_BYTES_PER_SEED = 16
+_BYTES_PER_STEP = 16
 # bytes per kept point of a breadth-first bisection round, which held every
 # kept point of a level at once (tracemalloc read 180).  The depth-first
-# refinement holds far fewer, but it charges the samples it has refined at
+# refinement holds far fewer, but it charges the cells it has split at
 # each level, over all chunks of a block, at this rate: a level is refused
 # where a breadth-first round over it would outgrow the byte cap, which also
 # bounds the work a row of nearly constant modulus takes before it is refused
@@ -294,45 +297,52 @@ def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
 
 
 def _gap(deg: int, M: int, level: int) -> float:
-    """Curvature gap 1.02*(deg*h)^2/2, capped at 0.49, of samples spaced h = 2 pi / (M*2^level)."""
+    """Curvature gap 1.02*(deg*h)^2/2, capped at 0.49, of cells of width h = 2 pi / (M*2^level)."""
     return min(0.49, 1.02 * (deg * (2.0 * np.pi / M * 0.5**level)) ** 2 / 2.0)
 
 
-def _charge_round(n: int, kept: int, waiting: int, seeds: int) -> None:
-    """Charge a refinement round on `kept` samples of n terms before it allocates.
+def _charge_round(n: int, kept: int, waiting: int, seeds: int, levels: int) -> None:
+    """Charge a refinement round on `kept` cells of n terms before it allocates.
 
-    The round holds its chunk, builds at most three survivors per sample,
-    and keeps alive the `waiting` samples on the stack and the `seeds` grid
-    samples it started from.
+    The round holds its chunk and builds at most two halves per cell, and it
+    keeps alive the `waiting` cells on the stack, the `seeds` grid samples it
+    started from, the step tables of `levels` rounds and one more table for
+    the conjugate of its own.
     """
-    need = (_BYTES_PER_TERM_VALUE * n + _BYTES_PER_SAMPLE) * (4 * kept + waiting) + _BYTES_PER_SEED * seeds
+    need = (
+        (_BYTES_PER_TERM_VALUE * n + _BYTES_PER_CELL) * (3 * kept + waiting)
+        + _BYTES_PER_SEED * seeds
+        + _BYTES_PER_STEP * n * (levels + 1)
+    )
     _check_bytes(need, f"refining {kept} kept points of {n} terms")
 
 
-def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
-    """Bisect around the kept grid samples (row, k, |f|^2 = g) until the gap is <= rel_tol.
+def _refine(freqs, rows, M, deg, rel_tol, best, row, k) -> None:
+    """Bisect the cells centred at the kept grid samples (row, k) until the gap is <= rel_tol.
 
-    Raises best, the per-row maximum of |f|^2, in place.  The carried term
-    vectors, the exact-index steps and the depth-first chunks are described
-    in sup_norm_rows.
+    Raises best, the per-row maximum of |f|^2, in place.  The cells, their
+    carried term vectors, the exact-index steps and the depth-first chunks
+    are described in sup_norm_rows.
     """
     n = freqs.size
     per = max(1, _REFINE_VALUES // n)
     r_mod = np.mod(freqs, M)
-    steps: list = []  # steps[L]: columns conj(s), s onto the grid of M*2^(L+1) points
+    # steps[L]: s = exp(2 pi i (g mod 4N) / 4N), N = M*2^L, which moves the
+    # term values at a level-L cell's centre to those at its halves' centres
+    steps: list = []
     stack: list = []
-    waiting = 0  # samples on the stack
-    at_level: list = []  # at_level[L]: samples refined so far at level L
+    waiting = 0  # cells on the stack
+    at_level: list = []  # at_level[L]: cells split so far at level L
     for lo in range(0, row.size, per):
         hi = min(row.size, lo + per)
-        _charge_round(n, hi - lo, 0, row.size)
+        _charge_round(n, hi - lo, 0, row.size, len(steps))
         # M <= 2^24 under the grid's byte charge, so (g mod M) * k stays exact
         u = _unit_roots(r_mod[None, :] * k[lo:hi, None] & (M - 1), M)
         u *= rows[row[lo:hi]]
-        stack.append((row[lo:hi], g[lo:hi], u, 0))
+        stack.append((row[lo:hi], u, 0))
         waiting += hi - lo
         while stack:
-            r, v, u, level = stack.pop()
+            r, u, level = stack.pop()
             waiting -= r.size
             if len(at_level) == level:
                 at_level.append(0)
@@ -341,13 +351,14 @@ def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
                 _BYTES_PER_LEVEL_POINT * at_level[level],
                 f"refining {at_level[level]} kept points of {n} terms in round {level + 1}",
             )
-            _charge_round(n, r.size, waiting, row.size)
+            _charge_round(n, r.size, waiting, row.size, max(len(steps), level + 1))
             if len(steps) == level:
-                N = M << (level + 1)
-                s = np.exp(2j * np.pi / N * np.mod(freqs, N))
-                steps.append(np.stack([s.conj(), s], axis=1))
-            S = steps[level]
-            mid = u @ S
+                N = 4 * M << level
+                w = 2j * np.pi / N * np.mod(freqs, N)
+                steps.append(np.exp(w, out=w))
+            s = steps[level]
+            sc = s.conj()
+            mid = np.stack([u @ sc, u @ s], axis=1)
             mid_g = mid.real**2
             mid_g += mid.imag**2
             np.maximum.at(best, r, mid_g.max(axis=1))
@@ -356,18 +367,16 @@ def _refine(freqs, rows, M, deg, rel_tol, best, row, k, g) -> None:
             if gap <= rel_tol:
                 continue
             floor = best[r] * (1.0 - gap)
-            k0 = np.flatnonzero(v >= floor)
             k1, k2 = (np.flatnonzero(mid_g[:, j] >= floor) for j in (0, 1))
-            src = np.concatenate([k0, k1, k2])
+            src = np.concatenate([k1, k2])
             r = r[src]
-            v = np.concatenate([v[k0], mid_g[k1, 0], mid_g[k2, 1]])
-            ends = (k0.size, k0.size + k1.size)
             # the first piece is pushed last, so it is refined next
             for a in reversed(range(0, src.size, per)):
                 piece = u.take(src[a : a + per], axis=0)
-                piece[max(ends[0] - a, 0) : max(ends[1] - a, 0)] *= S[:, 0]
-                piece[max(ends[1] - a, 0) :] *= S[:, 1]
-                stack.append((r[a : a + per], v[a : a + per], piece, level))
+                cut = max(k1.size - a, 0)
+                piece[:cut] *= sc
+                piece[cut:] *= s
+                stack.append((r[a : a + per], piece, level))
                 waiting += piece.shape[0]
 
 
@@ -406,7 +415,7 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     W = max - min <= 2*deg.  The estimator samples every row on a grid of
     M = default_grid_size(deg) points, keeps every sample whose squared
     modulus is within the curvature gap of its row maximum, then repeatedly
-    halves the sample spacing around the kept samples.
+    bisects the cells of width h = 2 pi / M centred at the kept samples.
 
     The grid stage has two kernels, chosen per call from n and M alone.  With
     n <= 4*log2(M) terms (_PRODUCT_TERMS_PER_LOG2; the measured crossover
@@ -422,38 +431,45 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     sec. 3.6, plus the twiddles and the two products per term).  Denser
     spectra take an M-point inverse FFT per row, costing O(M log M).
 
-    In the refinement each kept sample carries its term vector
-    u = (c_g exp(i g t)), seeded once from the exact-index roots
-    exp(2 pi i ((g mod M) k mod M) / M).  A round on the grid of N points
-    makes the n exact-index steps s = exp(2 pi i (g mod 2N) / 2N); the
-    values at the two midpoints t -/+ pi/N are the mat-vecs u @ conj(s) and
-    u @ s, and only the children that survive the keep test are built, as
-    u*conj(s) and u*s.  So a round costs a few complex multiplies per term
-    and point and no exponential, and the phase error of a term grows by a
-    few ulps per round, whatever |g t| is.  Rows are refined block by
-    block right after their grid, in chunks of at most _REFINE_VALUES term
-    values; survivors that outgrow a chunk are cut into pieces, all but the
-    first wait on a depth-first stack, and every round charges its arrays,
-    the waiting pieces and the kept grid samples against the byte cap
-    before it allocates.  The samples a block has refined at each level, over
-    all its chunks, are charged too, at the bytes per point of a
-    breadth-first round that held the whole level at once
-    (_BYTES_PER_LEVEL_POINT): a level is refused where such a round would
-    outgrow the cap.  A row of nearly constant modulus keeps almost every
-    sample round after round, so at small tolerances it raises
-    ResourceLimitError after a bounded amount of work.
+    In the refinement each kept grid sample t is the centre of a cell
+    [t - h/2, t + h/2], and the cells of the kept samples tile the region
+    the grid stage kept.  A round on cells of width h_L = h / 2^L splits
+    each kept cell into its two halves, centred at t -/+ h_L/4, and drops
+    it.  Each cell carries its term vector u = (c_g exp(i g t)), seeded once
+    from the exact-index roots exp(2 pi i ((g mod M) k mod M) / M).  The
+    round makes the n exact-index steps s = exp(2 pi i (g mod 4N) / 4N)
+    with N = M 2^L; the values at the two new centres are the mat-vecs
+    u @ conj(s) and u @ s, and only the halves that pass the keep test are
+    built, as u*conj(s) and u*s.  So a round costs a few complex multiplies
+    per term and cell and no exponential, the phase error of a term grows
+    by a few ulps per round, whatever |g t| is, and no point is evaluated
+    twice.  Rows are refined block by block right after their grid, in
+    chunks of at most _REFINE_VALUES term values; halves that outgrow a
+    chunk are cut into pieces, all but the first wait on a depth-first
+    stack, and every round charges its arrays, the waiting pieces, the kept
+    grid samples and the step tables against the byte cap before it
+    allocates.  The cells a block has split at each level, over all its
+    chunks, are charged too, at the bytes per point of a breadth-first
+    round that held the whole level at once (_BYTES_PER_LEVEL_POINT): a
+    level is refused where such a round would outgrow the cap.  A row of
+    nearly constant modulus keeps almost every cell round after round, so
+    at small tolerances it raises ResourceLimitError after a bounded
+    amount of work.
 
     |f|^2 is a real trigonometric polynomial of degree at most W, so
     Bernstein's inequality bounds its second derivative by W^2 sup|f|^2; a
-    sample within h/2 of the argmax therefore falls short of the maximum by
-    at most (W*h/2)^2/2 <= (deg*h)^2/2 relative, and the surviving samples
-    always cover the true argmax.  The keep test compares each sample with
-    best, the largest value sampled so far on its row.  best only ever holds
-    sampled values, all at most sup|f|^2, so the sample nearest the true
-    argmax always stays within the gap of best and is never pruned, in
-    whatever order the chunks are refined.  Below 1e-15 the bound sinks
-    under float64 resolution: samples tie with the maximum, the kept set
-    doubles every round, so such tolerances raise DomainError.
+    point within w/2 of the argmax therefore falls short of the maximum by
+    at most (W*w/2)^2/2 <= (deg*w)^2/2 relative.  The argmax lies in one
+    grid cell, and when a cell holding it is split, in one of its halves; a
+    cell of width w that holds it has its centre within w/2 of it, so that
+    centre passes the keep test for cells of width w.  The keep test
+    compares each centre with best, the largest value sampled so far on its
+    row.  best only ever holds sampled values, all at most sup|f|^2, so the
+    cell holding the true argmax is never pruned, in whatever order the
+    chunks are refined, and after the last round best is within the gap of
+    sup|f|^2.  Below 1e-15 the bound sinks under float64 resolution:
+    centres tie with the maximum, the kept set doubles every round, so such
+    tolerances raise DomainError.
     """
     if not (_REL_TOL_FLOOR <= rel_tol <= 0.1):
         raise DomainError(f"need rel_tol in [{_REL_TOL_FLOOR:g}, 0.1], got {rel_tol}")
@@ -484,7 +500,7 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
         best[lo:hi] = bmax
         if gap0 > rel_tol:
             at = np.flatnonzero(g >= bmax[:, None] * (1.0 - gap0))
-            seeds = (*np.divmod(at, M), g.ravel()[at])
+            seeds = np.divmod(at, M)
             del g, at  # the refinement charges the kept samples, not the grid
             _refine(freqs, rows[lo:hi], M, deg, rel_tol, best[lo:hi], *seeds)
     return np.sqrt(best)

@@ -62,12 +62,13 @@ CASES = {
         lambda B: 64 * default_grid_size(31) * B,
         4,
     ),
-    # a refinement round charges 16 bytes per term value and 64 per sample
-    # for its chunk and the three survivors each sample may build, plus 24
-    # per kept grid sample; here it outweighs the 64*1024-byte grid
+    # a refinement round charges 16 bytes per term value and 64 per cell for
+    # its chunk and the two halves each cell may build, 16 per kept grid
+    # sample and 16 per term of its step table and of that table's
+    # conjugate; here it outweighs the 64*1024-byte grid
     "sup_norm_rows_refine": (
         _flat_sup,
-        lambda n: (16 * n + 64) * 4 * 1024 + 24 * 1024,
+        lambda n: (16 * n + 64) * 3 * 1024 + 16 * 1024 + 16 * n * 2,
         12,
     ),
     "sample_driver": (
@@ -117,19 +118,20 @@ def test_byte_cap_admits_its_estimate_and_raises_one_size_above(monkeypatch, sit
 
 
 def test_refinement_rounds_charge_their_arrays_before_allocating(monkeypatch):
-    # at tol 1e-3 the interval's fourth bisection round evaluates 18 points on
-    # 511 terms, which needs more than the grid stage's charge
-    f = TrigPolynomial.indicator(range(-255, 256))
-    cap = 64 * default_grid_size(255)
+    # |f|^2 = 1.8075... - 0.1 t^4 + O(t^6) has a quartic maximum at t = 0, so
+    # the kept cells grow by about sqrt(2) a round, from 45 grid samples to
+    # 252 cells in the sixth round, which needs more than the grid's charge
+    f = TrigPolynomial({0: 1.0, 1: 4 / 9, 2: -0.1})
+    cap = 64 * default_grid_size(1)
     monkeypatch.setattr(errors, "_BYTES_CAP", cap)
-    err, peak = _traced_peak(lambda: sup_norm(f, 1e-3))
+    err, peak = _traced_peak(lambda: sup_norm(f, 1e-9))
     assert isinstance(err, ResourceLimitError) and "refining" in str(err)
     assert peak <= cap
 
 
 # call -> share of its largest charge that the traced peak must reach; on
-# 40-term flat rows, where carried term values dominate and every sample
-# survives the first rounds, the peak reads about 3/4 of the charge
+# 40-term flat rows, where carried term values dominate and every cell
+# survives the first rounds, the peak reads about 4/5 of the charge
 PEAK_CASES = {
     "flat-2-terms": (lambda: _flat_sup(2, 1e-3, rows=8), 0.0),
     "flat-40-terms": (lambda: _flat_sup(40, 1e-3, rows=64), 0.5),

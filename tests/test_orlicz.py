@@ -40,15 +40,23 @@ def test_young_function_rejects_r_with_vanishing_inverse_at_one(r):
     assert OrliczFunction("exp_type", 1e-3).inverse(1.0) > 0.0
 
 
-@pytest.mark.parametrize("r", [1e-300, 1e-16, 1e-13])
+@pytest.mark.parametrize("r", [1e-300])
 def test_log_type_rejects_r_whose_bisected_inverse_misses_one(r):
-    # 1 + log1p(x) rounds to 1 for tiny x, so the bisection lands far from
-    # the true Phi^{-1}(1) (about 7e-298 at r = 1e-300)
+    # the true Phi^{-1}(1) (about 7e-298 at r = 1e-300) lies where phi
+    # jumps from below 1 to inf in float64, so the bisection cannot place it
     with pytest.raises(DomainError, match="too small"):
         OrliczFunction("log_type", r)
     for ok in (2.0, 1e-3, 1e-9):
         phi = OrliczFunction("log_type", ok)
         assert math.isclose(float(phi(phi.inverse(1.0))), 1.0, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-9, 1e-13, 1e-16])
+def test_log_type_inverse_at_one_is_accurate_for_small_r(r):
+    # phi is evaluated through log1p(log1p(x)); rounding 1 + log1p(x) first
+    # would cost about 2^-53/r relative accuracy, 1e-7 at r = 1e-9
+    phi = OrliczFunction("log_type", r)
+    assert abs(float(phi(phi.inverse(1.0))) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("family,r", [("exp_type", 1.0), ("exp_type", 3.0), ("log_type", 2.0)])

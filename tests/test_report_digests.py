@@ -22,14 +22,14 @@ from thinset_lab import emit_report, run_experiment
 
 DIGESTS = {
     "E1": "39cd8dd4f3a4656ccbfde8919853e9e710471776de3619677f19df5ad0f54591",
-    "E2": "9ca6de8b27831c5600d4af267d7f16674b5ba288c2b7b99382d9db915b8ca56c",
-    "E3": "fd24f793e45154562a76d92d69a9d2dc6f1574870bba154b07770d1cc64d4bfd",
-    "E4": "8038e9102864e661a89b2b87393c1313fa8c0c62b64055d8cce11c4f80507a32",
-    "E5": "764f0ec4d5c88ed9903af5339417e38f229c41610c49c4cf8c9d5733609b196f",
-    "E6": "4cb8983eef52fc32a2cdbf93617a74674af478ef72f3d3f3b254fc63614cb149",
+    "E2": "961f9e8a7e370ed0537bffad4bc5be391248b0f448158055138613a8d80df3bb",
+    "E3": "abfee7a18a35ee56f30ec644cc278a118aa2f05577690ebb1fc744dade64bb39",
+    "E4": "7c82eb1a3be98f707411a8775d8d246f1aadbfda8f6ba499febd69ec95bf59a9",
+    "E5": "3d00202fe1818351cd2fe6dd438fb1d245896b355d71d26588ed3fe22f9a1788",
+    "E6": "888b042b39e6a323b05149f4d09e4f0b13ef5f95c86de4b7aad87ea9f7ea8c48",
     "E7": "fc0e3bb2916baa3a35eaed22c54ad5cabc4b99aa6a8f71e8ae20e456058a91ec",
     "E8": "57560bf0e9592a2ec1b64f654b564ccd6669429532453a4c6a83289f42cc701d",
-    "E9": "9d3a175b3bb6d474a9c52d1694955adbee3701817d61a0e1915e2c8d128a20dd",
+    "E9": "03173853648686affd7ec698e436574909686c62b81cb1eed9eb2d10ca117e25",
     "E10": "af699d12e188f8338fb03cb53a66a048e61895d6b9cabc7b26c10881fec924fd",
     "E11": "69a1bc78c6c2bebe6ffa2cf5d91e1ef6878e7051d81e6e296d21561fcfa603ca",
 }

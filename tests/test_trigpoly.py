@@ -347,9 +347,9 @@ def test_carried_refinement_matches_termwise_kernel_and_fine_grid(monkeypatch, t
     waiting = []
     charge = trigpoly._charge_round
 
-    def spy(n, kept, wait, seeds):
+    def spy(n, kept, wait, seeds, levels):
         waiting.append(wait)
-        charge(n, kept, wait, seeds)
+        charge(n, kept, wait, seeds, levels)
 
     for freqs, rows in cases:
         whole = sup_norm_rows(freqs, rows, tol)
@@ -363,12 +363,34 @@ def test_carried_refinement_matches_termwise_kernel_and_fine_grid(monkeypatch, t
 
 
 def test_barely_flat_row_at_the_default_tolerance_is_answered():
-    # |f|^2 varies by 4e-8 relative, so every grid sample survives six rounds
-    # at tol 1e-9, about 2^20 samples in the sixth; the byte cap admits that
+    # |f|^2 varies by 4e-8 relative or less, so every cell survives six or
+    # more of the nine rounds at tol 1e-9, and at c <= 3e-10 nearly all of
+    # them: 2^19 cells in the ninth.  Splitting each kept cell in two keeps
+    # that under the byte cap
+    for c in (1e-8, 3e-10, 1e-20):
+        s = sup_norm(TrigPolynomial({0: 1.0, 5: c}))
+        assert s <= (1.0 + c) * (1.0 + 1e-12)
+        assert 1.0 + c <= s * (1.0 + 1e-9) * (1.0 + 1e-12)
+
+
+def test_refinement_splits_each_kept_cell_into_two_disjoint_halves(monkeypatch):
+    # a round splits a kept cell into its two halves and drops it, so round
+    # L splits at most 1024 * 2^L cells of the 1024-point grid; keeping each
+    # sample next to both its midpoints would refine about three times more
     f = TrigPolynomial({0: 1.0, 5: 1e-8})
-    s = sup_norm(f)
-    assert s <= (1.0 + 1e-8) * (1.0 + 1e-12)
-    assert 1.0 + 1e-8 <= s * (1.0 + 1e-9) * (1.0 + 1e-12)
+    rounds = _rounds(f.freqs, 1e-9)
+    assert rounds == 9 and default_grid_size(3) == 1024
+    split = [0]
+    charge = trigpoly._charge_round
+
+    def spy(n, kept, waiting, seeds, levels):
+        split[0] += kept
+        charge(n, kept, waiting, seeds, levels)
+
+    monkeypatch.setattr(trigpoly, "_charge_round", spy)
+    sup_norm(f)
+    # the spy also counts each chunk once as it is seeded from the grid
+    assert split[0] <= 1024 * (2 ** (rounds + 1) - 1)
 
 
 def _rounds(freqs, tol):
@@ -382,14 +404,14 @@ def _rounds(freqs, tol):
 @pytest.mark.parametrize(
     "freqs, row, tol, cap",
     [
-        ([0, 5], [1.0, 1e-20], 1e-9, None),  # constant modulus in float64
+        ([0, 5], [1.0, 1e-20], 1e-15, None),  # constant modulus in float64
         (list(range(0, 112, 7)), [1.0] + [1e-9] * 15, 1e-15, 1 << 24),
         ([0, 5], [0.0, 0.0], 1e-9, 1 << 24),
     ],
 )
 def test_rows_of_nearly_constant_modulus_are_refused_by_the_byte_cap(monkeypatch, freqs, row, tol, cap):
-    # every sample stays within the gap of the row maximum round after round,
-    # so the kept set nearly triples each round until the samples of one
+    # every cell stays within the gap of the row maximum round after round,
+    # so the kept set nearly doubles each round until the cells of one
     # round, charged as if held at once, outgrow the cap.  Small chunks keep
     # the rounds' own charges under a lowered cap
     if cap is not None:
@@ -399,12 +421,12 @@ def test_rows_of_nearly_constant_modulus_are_refused_by_the_byte_cap(monkeypatch
     refined = [0]
     charge = trigpoly._charge_round
 
-    def spy(n, kept, waiting, seeds):
-        # no round refines more samples than the cap admits; failing here,
+    def spy(n, kept, waiting, seeds, levels):
+        # no round refines more cells than the cap admits; failing here,
         # not after the call, keeps an unbounded refinement from hanging
         refined[0] += kept
         assert refined[0] <= bound
-        charge(n, kept, waiting, seeds)
+        charge(n, kept, waiting, seeds, levels)
 
     monkeypatch.setattr(trigpoly, "_charge_round", spy)
     with pytest.raises(ResourceLimitError, match="kept points of .* in round"):
