@@ -33,7 +33,7 @@ from .exponents import conjugate, derive_exponents, invert_for_q
 from .orlicz import psi_set_norm
 from .quasi import is_quasi_independent, max_quasi_independent, partition_lemma
 from .sampler import DriverDistribution, make_rng, sample_driver
-from .stable_norm import estimate_bracket, sz_lower, zero_one_upper
+from .stable_norm import NormEstimate, estimate_bracket, sz_lower, zero_one_upper
 from .trigpoly import TrigPolynomial, lorentz_norms
 
 __all__ = [
@@ -67,9 +67,10 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-def _band_check(name: str, ratios: list, band: float, fitted=max) -> CheckResult:
-    """Passes when max/min of the positive ratios is within band; the statistic
-    is inf when some ratio is not positive, the fitted constant fitted(ratios)."""
+def _band_check(name: str, checks: list, band: float, fitted=max) -> CheckResult:
+    """Passes when max/min of the checks' statistics (ratios) is within band; the
+    statistic is inf when some ratio is not positive, the fitted constant fitted(ratios)."""
+    ratios = [c.statistic for c in checks]
     lo, hi = min(ratios), max(ratios)
     stat = math.inf if lo <= 0 else hi / lo
     return CheckResult(name, stat, fitted(ratios), stat <= band)
@@ -84,7 +85,18 @@ def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
     return DriverDistribution("p_stable", p=p, seed=seed, stream_id=stream)
 
 
+def _bracket(f: TrigPolynomial, p: float, cfg: dict, streams: itertools.count) -> NormEstimate:
+    """The bracket of f over cfg["trials"] trials of a p-stable driver keyed
+    (cfg["seed"], the run's next stream)."""
+    return estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), cfg["trials"])
+
+
 # --- E1: characteristic-function fidelity -----------------------------------
+
+
+def _emp_cf(z: complex, samples: np.ndarray) -> complex:
+    angle = z.real * samples.real + z.imag * samples.imag
+    return complex(np.cos(angle).mean(), np.sin(angle).mean())
 
 
 def _run_e1(cfg: dict, streams: itertools.count) -> list:
@@ -95,17 +107,12 @@ def _run_e1(cfg: dict, streams: itertools.count) -> list:
     for p in cfg["ps"]:
         z1 = sample_driver(_stable_driver(p, cfg["seed"], next(streams)), n)
         z2 = sample_driver(_stable_driver(p, cfg["seed"], next(streams)), n)
-
-        def emp_cf(z: complex, samples: np.ndarray) -> complex:
-            angle = z.real * samples.real + z.imag * samples.imag
-            return complex(np.cos(angle).mean(), np.sin(angle).mean())
-
         for k, z in enumerate(ring):
-            dev = abs(emp_cf(z, z1) - math.exp(-abs(z) ** p))
+            dev = abs(_emp_cf(z, z1) - math.exp(-abs(z) ** p))
             checks.append(CheckResult(f"cf_p{p}_ring{k}", dev, dev * math.sqrt(n), dev < tol))
         mixed = (z1 + z2) / 2.0 ** (1.0 / p)
         for radius in cfg["stability_radii"]:
-            dev = abs(emp_cf(complex(radius, 0.0), mixed) - math.exp(-radius**p))
+            dev = abs(_emp_cf(complex(radius, 0.0), mixed) - math.exp(-radius**p))
             checks.append(CheckResult(f"stability_p{p}_r{radius}", dev, dev * math.sqrt(n), dev < tol))
     return checks
 
@@ -113,9 +120,10 @@ def _run_e1(cfg: dict, streams: itertools.count) -> list:
 # --- random polynomial suites -------------------------------------------------
 
 
-def _random_poly(rng: np.random.Generator, max_freq: int, size_lo: int, size_hi: int) -> TrigPolynomial:
-    m = int(rng.integers(size_lo, size_hi + 1))
-    freqs = rng.choice(np.arange(1, max_freq + 1), size=m, replace=False)
+def _random_poly(rng: np.random.Generator) -> TrigPolynomial:
+    """4 to 12 terms with distinct frequencies in [1, 200] and complex Gaussian coefficients."""
+    m = int(rng.integers(4, 13))
+    freqs = rng.choice(np.arange(1, 201), size=m, replace=False)
     coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return TrigPolynomial(zip(freqs.tolist(), coeffs.tolist()))
 
@@ -124,22 +132,19 @@ def _random_poly(rng: np.random.Generator, max_freq: int, size_lo: int, size_hi:
 
 
 def _run_e2(cfg: dict, streams: itertools.count) -> list:
-    p1, p2, trials = cfg["p1"], cfg["p2"], cfg["trials"]
+    p1, p2 = cfg["p1"], cfg["p2"]
     if not p1 < p2:
         raise DomainError(f"E2 config: want p1 < p2, got p1={p1}, p2={p2}")
     checks = []
-    ratios = []
     for i in range(cfg["suite_size"]):
-        rng = make_rng(cfg["seed"], next(streams))
-        f = _random_poly(rng, 200, 4, 12)
-        e1 = estimate_bracket(f, _stable_driver(p1, cfg["seed"], next(streams)), trials)
-        e2 = estimate_bracket(f, _stable_driver(p2, cfg["seed"], next(streams)), trials)
+        f = _random_poly(make_rng(cfg["seed"], next(streams)))
+        e1 = _bracket(f, p1, cfg, streams)
+        e2 = _bracket(f, p2, cfg, streams)
         bound = 3.0 * e1.value + 5.0 * e1.spread
-        ratios.append(e2.value / e1.value)
         checks.append(
             CheckResult(f"pairwise_{i}", e2.value / bound, e2.value / e1.value, e2.value <= bound)
         )
-    med = float(np.median(ratios))
+    med = float(np.median([c.fitted_constant for c in checks]))
     checks.append(CheckResult("median_ratio", med, med, med <= cfg["median_cap"]))
     return checks
 
@@ -148,9 +153,8 @@ def _run_e2(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e3(cfg: dict, streams: itertools.count) -> list:
-    p, trials = cfg["p"], cfg["trials"]
+    p = cfg["p"]
     checks = []
-    ratios = []
     for i in range(cfg["instances"]):
         rng = make_rng(cfg["seed"], next(streams))
         n_blocks = int(rng.integers(2, 5))
@@ -167,13 +171,10 @@ def _run_e3(cfg: dict, streams: itertools.count) -> list:
         whole = TrigPolynomial(terms)
         part_sum = 0.0
         for fj in block_polys:
-            est = estimate_bracket(fj, _stable_driver(p, cfg["seed"], next(streams)), trials)
-            part_sum += est.value**p
-        whole_est = estimate_bracket(whole, _stable_driver(p, cfg["seed"], next(streams)), trials)
-        ratio = part_sum ** (1.0 / p) / whole_est.value
-        ratios.append(ratio)
+            part_sum += _bracket(fj, p, cfg, streams).value ** p
+        ratio = part_sum ** (1.0 / p) / _bracket(whole, p, cfg, streams).value
         checks.append(CheckResult(f"instance_{i}", ratio, ratio, ratio > 0))
-    checks.append(_band_check("ratio_band", ratios, cfg["band"]))
+    checks.append(_band_check("ratio_band", checks, cfg["band"]))
     return checks
 
 
@@ -185,7 +186,7 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
     checks = []
     for i in range(cfg["suite_size"]):
         rng = make_rng(cfg["seed"], next(streams))
-        f = _random_poly(rng, 200, 4, 12)
+        f = _random_poly(rng)
         stream = next(streams)
         base = estimate_bracket(f, _stable_driver(p, cfg["seed"], stream), trials)
         cap = 1.0 + 5.0 * base.spread / base.value
@@ -220,51 +221,43 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e5(cfg: dict, streams: itertools.count) -> list:
-    p, trials = cfg["p"], cfg["trials"]
+    p = cfg["p"]
     ns = range(cfg["n_min"], cfg["n_max"] + 1)
-    upper_ratios = []
-    interval_ratios = []
-    checks = []
+    lacunary = []  # upper_ratio_n*, lower_ratio_n* alternating
     for n in ns:
         f = TrigPolynomial.indicator(_lacunary(n))
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
-        up = zero_one_upper(n, 2**n, p)
-        lo = sz_lower(f, p)
-        upper_ratios.append(est.value / up)
-        checks.append(CheckResult(f"upper_ratio_n{n}", est.value / up, up, True))
-        checks.append(CheckResult(f"lower_ratio_n{n}", est.value / lo, lo, True))
+        value = _bracket(f, p, cfg, streams).value
+        up, lo = zero_one_upper(n, 2**n, p), sz_lower(f, p)
+        lacunary.append(CheckResult(f"upper_ratio_n{n}", value / up, up, True))
+        lacunary.append(CheckResult(f"lower_ratio_n{n}", value / lo, lo, True))
+    interval = []
     for n in ns:
         f = TrigPolynomial.indicator(range(1, 2**n + 1))
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
-        lo = sz_lower(f, p)
-        interval_ratios.append(est.value / lo)
-        checks.append(CheckResult(f"interval_lower_ratio_n{n}", est.value / lo, lo, True))
-    checks.append(_band_check("upper_band", upper_ratios, cfg["band"]))
-    checks.append(_band_check("lower_band", interval_ratios, cfg["band"], fitted=min))
-    return checks
+        value, lo = _bracket(f, p, cfg, streams).value, sz_lower(f, p)
+        interval.append(CheckResult(f"interval_lower_ratio_n{n}", value / lo, lo, True))
+    return lacunary + interval + [
+        _band_check("upper_band", lacunary[::2], cfg["band"]),
+        _band_check("lower_band", interval, cfg["band"], fitted=min),
+    ]
 
 
 # --- E6: sandwich probe between bracket norm and q(A) ---------------------------
 
 
 def _run_e6(cfg: dict, streams: itertools.count) -> list:
-    p, trials = cfg["p"], cfg["trials"]
+    p = cfg["p"]
     p_conj = conjugate(p)
     universe = np.arange(1, cfg["universe"] + 1)
     checks = []
-    ratios = []
     for i in range(cfg["instances"]):
         rng = make_rng(cfg["seed"], next(streams))
         size = int(rng.integers(4, 13))
         A = sorted(int(g) for g in rng.choice(universe, size=size, replace=False))
         qres = max_quasi_independent(A)
-        f = TrigPolynomial.indicator(A)
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
+        est = _bracket(TrigPolynomial.indicator(A), p, cfg, streams)
         comparator = (est.value / size ** (1.0 / p)) ** p_conj
-        ratio = qres.q_value / comparator
-        ratios.append(ratio)
-        checks.append(CheckResult(f"probe_instance_{i}", ratio, comparator, qres.exact))
-    checks.append(_band_check("probe_ratio_band", ratios, cfg["band"]))
+        checks.append(CheckResult(f"probe_instance_{i}", qres.q_value / comparator, comparator, qres.exact))
+    checks.append(_band_check("probe_ratio_band", checks, cfg["band"]))
     return checks
 
 
@@ -301,29 +294,23 @@ def _run_e7(cfg: dict, streams: itertools.count) -> list:
 
 
 def _e8_instances(cfg: dict, streams: itertools.count) -> list:
-    out = []
-    for m in (12, 13, 14, 15, 16):
-        out.append((generate("powers", 2**m, base=2), 1.0, 0.5))
-    for mult in (3, 5, 7):
-        out.append((tuple(mult * g for g in generate("powers", 2**14, base=2)), 1.0, 0.5))
-    for m in (8, 9, 10):
-        out.append((generate("powers", 3**m, base=3), 1.0, 0.5))
+    out = [generate("powers", 2**m, base=2) for m in (12, 13, 14, 15, 16)]
+    out += [tuple(mult * g for g in generate("powers", 2**14, base=2)) for mult in (3, 5, 7)]
+    out += [generate("powers", 3**m, base=3) for m in (8, 9, 10)]
     mixed = tuple(sorted(set(generate("powers", 2**10, base=2)) | set(generate("powers", 3**6, base=3))))
-    out.append((mixed, 1.0, 0.5))
-    out.append((tuple(5 * g for g in mixed), 1.0, 0.5))
+    out += [mixed, tuple(5 * g for g in mixed)]
     for _ in range(4):
         rng = make_rng(cfg["seed"], next(streams))
         # 12 elements keep the exact branch-and-bound extraction cheap
-        A = sorted(int(g) for g in rng.choice(np.arange(1, 100_001), size=12, replace=False))
-        out.append((tuple(A), 1.0, 0.5))
-    for m in (8, 10, 12):
-        out.append((generate("sums_of_powers", 3**m, base=3, d=2), 1.0, 0.5))
+        out.append(tuple(sorted(int(g) for g in rng.choice(np.arange(1, 100_001), size=12, replace=False))))
+    out += [generate("sums_of_powers", 3**m, base=3, d=2) for m in (8, 10, 12)]
     return out
 
 
 def _run_e8(cfg: dict, streams: itertools.count) -> list:
+    c, eps = 1.0, 0.5
     checks = []
-    for i, (A, c, eps) in enumerate(_e8_instances(cfg, streams)):
+    for i, A in enumerate(_e8_instances(cfg, streams)):
         res = partition_lemma(A, c, eps)
         size_a = len(A)
         lo, hi = res.window
@@ -345,18 +332,15 @@ def _run_e8(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e9(cfg: dict, streams: itertools.count) -> list:
-    p, trials = cfg["p"], cfg["trials"]
+    p = cfg["p"]
     q = invert_for_q(p, cfg["s"])
     checks = []
-    ratios = []
     for n in range(cfg["size_min"], cfg["size_max"] + 1):
         f = TrigPolynomial.indicator(_lacunary(n))
         l_q1, _ = lorentz_norms(f, q)
-        est = estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), trials)
-        ratio = l_q1 / est.value
-        ratios.append(ratio)
+        ratio = l_q1 / _bracket(f, p, cfg, streams).value
         checks.append(CheckResult(f"lorentz_ratio_n{n}", ratio, l_q1, True))
-    checks.append(_band_check("lorentz_band", ratios, cfg["band"]))
+    checks.append(_band_check("lorentz_band", checks, cfg["band"]))
     return checks
 
 
@@ -367,13 +351,10 @@ def _run_e10(cfg: dict, streams: itertools.count) -> list:
     table = derive_exponents(cfg["p"], cfg["q"])
     r = table.p_conj
     checks = []
-    ratios = []
     for n in range(cfg["size_min"], cfg["size_max"] + 1):
         psi = psi_set_norm(_lacunary(n), r)
-        ratio = psi / n ** (1.0 / table.alpha)
-        ratios.append(ratio)
-        checks.append(CheckResult(f"psi_ratio_n{n}", ratio, psi, True))
-    checks.append(_band_check("psi_band", ratios, cfg["band"]))
+        checks.append(CheckResult(f"psi_ratio_n{n}", psi / n ** (1.0 / table.alpha), psi, True))
+    checks.append(_band_check("psi_band", checks, cfg["band"]))
     return checks
 
 
@@ -384,23 +365,19 @@ def _run_e11(cfg: dict, streams: itertools.count) -> list:
     alpha, p = cfg["alpha"], cfg["p"]
     growth = (2.0 - p) / (p - 1.0)
     checks = []
-    ratios = []
     for k in range(cfg["k_min"], cfg["k_max"] + 1):
         A = generate("powers", 2**k, base=2)
         n = alpha * (2**k)
         rc = r_alpha(A, alpha, n)
         total_ok = sum(rc.counts) == len(A) ** alpha
         ratio = rc.mean_square / (n**growth * math.log(n) ** (2 * alpha))
-        ratios.append(ratio)
         checks.append(CheckResult(f"ralpha_ratio_k{k}", ratio, rc.mean_square, total_ok))
-    grow = max(ratios) / ratios[0]
-    checks.append(CheckResult("ralpha_band", grow, max(ratios), grow <= cfg["band"]))
+    top = max(c.statistic for c in checks)
+    grow = top / checks[0].statistic
+    ms_powers = checks[-1].fitted_constant  # the powers of 2 up to 2^k_max, n = alpha 2^k_max
+    checks.append(CheckResult("ralpha_band", grow, top, grow <= cfg["band"]))
     k = cfg["k_max"]
-    interval = generate("interval", k)
-    powers = generate("powers", 2**k, base=2)
-    n = alpha * k
-    ms_interval = r_alpha(interval, alpha, n).mean_square
-    ms_powers = r_alpha(powers, alpha, alpha * (2**k)).mean_square
+    ms_interval = r_alpha(generate("interval", k), alpha, alpha * k).mean_square
     checks.append(
         CheckResult("interval_dominates_powers", ms_interval / ms_powers, ms_interval, ms_interval > ms_powers)
     )

@@ -198,21 +198,29 @@ def test_run_json_exit_zero_and_out_file(capsys, tmp_path):
     assert all(c["passed"] for c in obj["checks"])
 
 
-def test_run_csv_to_stdout(capsys):
-    code, stdout, _ = run_cli(capsys, "run", "E10", "--seed", "0", "--format", "csv")
+@pytest.fixture
+def small_e10(tmp_path):
+    """An INI that shrinks E10 and sets no seed: format and precedence tests need no default-size run."""
+    cfg = tmp_path / "small_e10.ini"
+    cfg.write_text("[E10]\nsize_max = 6\n")
+    return str(cfg)
+
+
+def test_run_csv_to_stdout(capsys, small_e10):
+    code, stdout, _ = run_cli(capsys, "run", "E10", "--config", small_e10, "--seed", "0", "--format", "csv")
     assert code == 0
     lines = stdout.strip().split("\n")
     assert lines[0].startswith("experiment_id,check,")
     assert len(lines) > 1
 
 
-def test_run_reruns_byte_identical(capsys):
-    _, first, _ = run_cli(capsys, "run", "E10", "--seed", "0")
-    _, second, _ = run_cli(capsys, "run", "E10", "--seed", "0")
+def test_run_reruns_byte_identical(capsys, small_e10):
+    _, first, _ = run_cli(capsys, "run", "E10", "--config", small_e10, "--seed", "0")
+    _, second, _ = run_cli(capsys, "run", "E10", "--config", small_e10, "--seed", "0")
     assert first == second
 
 
-def test_run_config_file_and_seed_precedence(capsys, tmp_path, monkeypatch):
+def test_run_config_file_and_seed_precedence(capsys, tmp_path, monkeypatch, small_e10):
     cfg = tmp_path / "lab.ini"
     cfg.write_text("[common]\nseed = 7\n\n[E10]\nsize_max = 6\nband = 4.0\n")
     obj = run_json(capsys, "run", "E10", "--config", str(cfg))
@@ -224,12 +232,12 @@ def test_run_config_file_and_seed_precedence(capsys, tmp_path, monkeypatch):
     assert obj["config"]["seed"] == 9
 
     monkeypatch.setenv("THINSET_LAB_SEED", "11")
-    obj = run_json(capsys, "run", "E10", "--seed", "0")
+    obj = run_json(capsys, "run", "E10", "--config", small_e10, "--seed", "0")
     assert obj["config"]["seed"] == 0
-    obj = run_json(capsys, "run", "E10")
+    obj = run_json(capsys, "run", "E10", "--config", small_e10)
     assert obj["config"]["seed"] == 11
     monkeypatch.delenv("THINSET_LAB_SEED")
-    obj = run_json(capsys, "run", "E10")
+    obj = run_json(capsys, "run", "E10", "--config", small_e10)
     assert obj["config"]["seed"] == 0
 
 
@@ -280,12 +288,14 @@ def test_qis_check_over_signed_sum_byte_cap_exits_2(capsys, monkeypatch, tmp_pat
     [
         ("E1", "ps = []", ["ps"]),
         ("E2", "suite_size = 0", ["suite_size"]),
+        ("E2", "p1 = 1.8\np2 = 1.5", ["p1 < p2", "p1=1.8", "p2=1.5"]),
+        ("E2", "p1 = 1.5\np2 = 1.5", ["p1 < p2", "p1=1.5", "p2=1.5"]),
         ("E4", "suite_size = 0", ["suite_size"]),
         ("E5", "n_min = 9\nn_max = 4", ["n_min", "n_max"]),
         ("E7", "checkpoints = []", ["checkpoints"]),
         ("E11", "k_min = 8\nk_max = 4", ["k_min", "k_max"]),
     ],
-    ids=["E1", "E2", "E4", "E5", "E7", "E11"],
+    ids=["E1", "E2", "E2-p1>p2", "E2-p1=p2", "E4", "E5", "E7", "E11"],
 )
 def test_run_empty_range_exits_2(capsys, tmp_path, exp_id, section, keys):
     cfg = tmp_path / "lab.ini"
