@@ -15,6 +15,7 @@ from thinset_lab import (
     psi_norm_of_constant,
     psi_set_norm,
 )
+from thinset_lab.orlicz import FAMILIES, _luxemburg_of_samples
 
 
 def test_young_function_values():
@@ -153,3 +154,116 @@ def test_log_type_functional_constant():
     )
     with pytest.raises(DomainError):
         log_type_functional(f, 0.0)
+
+
+def _bisection_oracle(v, phi):
+    """The Luxemburg bisection that evaluates every midpoint, as
+    _luxemburg_of_samples computed it before its root search: (value,
+    full-grid evaluations)."""
+    vmax = float(v.max())
+    if vmax == 0.0:
+        return 0.0, 0
+    lo = vmax / float(phi.inverse(float(v.size)))
+    hi = vmax / float(phi.inverse(1.0))
+    evals = 0
+    # mean phi(v/t) is decreasing in t; keep hi feasible
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        evals += 1
+        if float(np.mean(phi(v / mid))) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, evals
+
+
+_SAMPLE_SIZES = (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18)
+_SAMPLE_KINDS = ("random", "indicator", "spiky", "constant", "padded")
+_FAMILY_R = [("exp_type", 0.1)] + [(family, r) for family in FAMILIES for r in (0.3, 1.0, 2.0, 3.0, 10.0)]
+
+
+def _samples(kind, M, rng):
+    """|f| on M points, or samples shaped like it."""
+    deg = M // 16 - 1
+    if kind == "random":
+        freqs = rng.choice(deg + 1, size=int(rng.integers(2, 41)), replace=False)
+        coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+        return np.abs(evaluate_grid(TrigPolynomial(zip(freqs.tolist(), coeffs.tolist())), M))
+    if kind == "indicator":
+        A = rng.choice(np.arange(1, deg + 1), size=int(rng.integers(3, 30)), replace=False)
+        return np.abs(evaluate_grid(TrigPolynomial.indicator(A.tolist()), M))
+    if kind == "spiky":
+        v = rng.random(M) * 1e-3
+        v[rng.integers(0, M, 3)] = 1.0 + 10.0 * rng.random(3)
+        return v
+    if kind == "constant":
+        # a monomial's grid modulus is constant up to the FFT's rounding
+        return np.abs(evaluate_grid(TrigPolynomial({int(rng.integers(0, deg + 1)): 2.5 - 1.5j}), M))
+    v = np.zeros(M)
+    v[: M // 4] = rng.random(M // 4)
+    return v
+
+
+@pytest.fixture
+def phi_grid_calls(monkeypatch):
+    """Counts of OrliczFunction calls on arrays of each size."""
+    counts = {}
+    call = OrliczFunction.__call__
+
+    def counted(self, x):
+        counts[np.size(x)] = counts.get(np.size(x), 0) + 1
+        return call(self, x)
+
+    monkeypatch.setattr(OrliczFunction, "__call__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("family,r", _FAMILY_R)
+def test_luxemburg_of_samples_replays_the_bisection_bit_for_bit(family, r, phi_grid_calls):
+    phi = OrliczFunction(family, r)
+    rng = np.random.default_rng([int(family == "log_type"), int(100 * r)])
+    random_evals = []
+    for i, kind in enumerate(_SAMPLE_KINDS * 2):
+        M = _SAMPLE_SIZES[(i + int(r)) % len(_SAMPLE_SIZES)]
+        v = _samples(kind, M, rng)
+        want, oracle_evals = _bisection_oracle(v, phi)
+        phi_grid_calls.clear()
+        got = _luxemburg_of_samples(v, phi)
+        assert got == want, (kind, M)
+        assert phi_grid_calls.get(M, 0) <= oracle_evals, (kind, M)
+        if kind == "random":
+            random_evals.append(phi_grid_calls.get(M, 0))
+    assert np.mean(random_evals) <= 12.0
+    zeros = np.zeros(1024)
+    assert _luxemburg_of_samples(zeros, phi) == _bisection_oracle(zeros, phi)[0] == 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_luxemburg_of_samples_is_bit_identical_from_any_guess(family):
+    phi = OrliczFunction(family, 2.0)
+    rng = np.random.default_rng(7)
+    for kind in _SAMPLE_KINDS:
+        v = _samples(kind, 1 << 12, rng)
+        want, _ = _bisection_oracle(v, phi)
+        for guess in (want, want * (1.0 + 1e-7), want * (1.0 - 1e-12), want / 3.0, want * 1e6, 1e-300):
+            assert _luxemburg_of_samples(v, phi, guess=guess) == want, (kind, guess)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.3, 2.0, 10.0])
+def test_log_type_inverse_stops_where_its_bisection_stops_moving(r):
+    # the same bytes as all 100 steps of the bisection
+    phi = OrliczFunction("log_type", r)
+    y = np.array([0.0, 1e-300, 1e-6, 0.25, 1.0, 7.0, 1024.0, float(1 << 21), 1e300])
+    lo, hi = np.zeros_like(y), np.maximum(y, np.finfo(np.float64).tiny)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = phi(mid) < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert np.array_equal(phi.inverse(y), 0.5 * (lo + hi))
+    assert float(phi.inverse(1.0)) == phi._inverse_at_one
+
+
+def test_cached_inverse_is_not_part_of_the_value():
+    psi = OrliczFunction("exp_type", 2.0)
+    assert repr(psi) == "OrliczFunction(family='exp_type', r=2.0)"
+    assert psi == OrliczFunction("exp_type", 2) and hash(psi) == hash(OrliczFunction("exp_type", 2.0))
