@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -69,33 +70,23 @@ def generate(
     _check_bytes(candidates * _BYTES_PER_CANDIDATE, f"{kind} set below {N}")
     if kind == "squares":
         return tuple(k * k for k in range(1, math.isqrt(N) + 1))
-    if kind == "powers":
-        b = 2 if base is None else int(base)
+    if kind in ("powers", "sums_of_powers"):
+        b = int(base) if base is not None else 2 if kind == "powers" else 3
         if b < 2:
             raise DomainError(f"need base >= 2, got {b}")
-        out = []
-        v = b
-        while v <= N:
-            out.append(v)
-            v *= b
-        return tuple(out)
-    if kind == "sums_of_powers":
-        b = 3 if base is None else int(base)
-        if b < 2:
-            raise DomainError(f"need base >= 2, got {b}")
-        dd = 2 if d is None else int(d)
-        if dd < 1:
-            raise DomainError(f"need d >= 1, got {dd}")
         pows = []
         v = b
         while v <= N:
             pows.append(v)
             v *= b
+        if kind == "powers":
+            return tuple(pows)
+        dd = 2 if d is None else int(d)
+        if dd < 1:
+            raise DomainError(f"need d >= 1, got {dd}")
         if dd > len(pows):
             raise DomainError(f"need d <= {len(pows)}, the number of powers of {b} in [1, {N}], got d = {dd}")
         _check_bytes(math.comb(len(pows), dd) * _BYTES_PER_CANDIDATE, f"sums of {dd} of {len(pows)} powers")
-        from itertools import combinations
-
         vals = {sum(tup) for tup in combinations(pows, dd)}
         return tuple(sorted(v for v in vals if v <= N))
     if kind == "interval":
@@ -163,13 +154,14 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
 
     counts[j] is the number of ordered alpha-tuples of elements summing to
     j, for j = 0..n; their total over all j is k^alpha with k = |freqs|.
-    mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Sparse shift-and-add:
-    starting from [1], each of the alpha rounds adds the current counts
-    shifted by every member g, costing O(alpha * k * length) exact int64
-    additions; a one-member set {g} takes the closed form counts[alpha*g] = 1
-    instead.  The two working arrays, of length up to
-    max(alpha * max(freqs), n) + 1 (n + 1 for one member), are charged 16
-    bytes per entry against the byte cap, which admits 2^26 entries.
+    mean_square is (1/n) sum_{j=1}^n counts[j]^2.  Sparse shift-and-add on
+    one array of length n + 1, since sums only grow and none above n is
+    returned: starting from counts[0] = 1, each of the alpha rounds adds the
+    current counts shifted by every member g, costing at most
+    O(alpha * k * n) exact int64 additions; a one-member set {g} takes the
+    closed form counts[alpha*g] = 1 instead.  The array and the next round's
+    are charged 16 * (n + 1) bytes against the byte cap, which admits n up
+    to 2^26 - 1.
     """
     freqs = as_freqset(freqs)
     alpha = int(alpha)
@@ -183,23 +175,23 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     k = len(freqs)
     if (k > 1 and alpha >= 62) or k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
-    length = (n if k == 1 else max(freqs[-1] * alpha, n)) + 1
-    _check_bytes(16 * length, f"representation counts of length {length}")
+    _check_bytes(16 * (n + 1), f"representation counts of length {n + 1}")
+    counts = np.zeros(n + 1, dtype=np.int64)
     if k == 1:
         # {g} has the one alpha-fold sum alpha*g, whatever alpha is
-        conv = np.zeros(n + 1, dtype=np.int64)
         if freqs[0] * alpha <= n:
-            conv[freqs[0] * alpha] = 1
+            counts[freqs[0] * alpha] = 1
     else:
-        conv = np.ones(1, dtype=np.int64)
-        for _ in range(alpha):
-            nxt = np.zeros(conv.size + freqs[-1], dtype=np.int64)
+        counts[0] = 1
+        for i in range(alpha):
+            width = min(i * freqs[-1], n) + 1  # sums of i members are at most i*max
+            nxt = np.zeros(n + 1, dtype=np.int64)
             for g in freqs:
-                nxt[g : g + conv.size] += conv
-            conv = nxt
-    padded = np.zeros(max(n + 1, conv.size), dtype=np.int64)
-    padded[: conv.size] = conv
-    counts = padded[: n + 1]
+                if g > n:
+                    break
+                m = min(width, n + 1 - g)
+                nxt[g : g + m] += counts[:m]
+            counts = nxt
     mean_square = float((counts[1:].astype(np.float64) ** 2).mean())
     return RepresentationCounts(
         alpha=alpha, counts=tuple(int(x) for x in counts), mean_square=mean_square

@@ -76,11 +76,6 @@ def _band_check(name: str, checks: list, band: float, fitted=max) -> CheckResult
     return CheckResult(name, stat, fitted(ratios), stat <= band)
 
 
-def _lacunary(n: int) -> list:
-    """The geometric spectrum {2, 4, ..., 2^n}."""
-    return [2**j for j in range(1, n + 1)]
-
-
 def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
     return DriverDistribution("p_stable", p=p, seed=seed, stream_id=stream)
 
@@ -225,7 +220,7 @@ def _run_e5(cfg: dict, streams: itertools.count) -> list:
     ns = range(cfg["n_min"], cfg["n_max"] + 1)
     lacunary = []  # upper_ratio_n*, lower_ratio_n* alternating
     for n in ns:
-        f = TrigPolynomial.indicator(_lacunary(n))
+        f = TrigPolynomial.indicator(generate("powers", 2**n))
         value = _bracket(f, p, cfg, streams).value
         up, lo = zero_one_upper(n, 2**n, p), sz_lower(f, p)
         lacunary.append(CheckResult(f"upper_ratio_n{n}", value / up, up, True))
@@ -336,7 +331,7 @@ def _run_e9(cfg: dict, streams: itertools.count) -> list:
     q = invert_for_q(p, cfg["s"])
     checks = []
     for n in range(cfg["size_min"], cfg["size_max"] + 1):
-        f = TrigPolynomial.indicator(_lacunary(n))
+        f = TrigPolynomial.indicator(generate("powers", 2**n))
         l_q1, _ = lorentz_norms(f, q)
         ratio = l_q1 / _bracket(f, p, cfg, streams).value
         checks.append(CheckResult(f"lorentz_ratio_n{n}", ratio, l_q1, True))
@@ -352,7 +347,7 @@ def _run_e10(cfg: dict, streams: itertools.count) -> list:
     r = table.p_conj
     checks = []
     for n in range(cfg["size_min"], cfg["size_max"] + 1):
-        psi = psi_set_norm(_lacunary(n), r)
+        psi = psi_set_norm(generate("powers", 2**n), r)
         checks.append(CheckResult(f"psi_ratio_n{n}", psi / n ** (1.0 / table.alpha), psi, True))
     checks.append(_band_check("psi_band", checks, cfg["band"]))
     return checks

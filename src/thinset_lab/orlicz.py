@@ -69,6 +69,12 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _INVERSE_CHECK_TOL = 1e-6
 
 
+def _log_type(x: np.ndarray, r: float) -> np.ndarray:
+    """x (1 + log(1 + x))^(1/r), as x exp(log1p(log1p(x)) / r): rounding
+    1 + log1p(x) would cost about 2^-53/r relative accuracy."""
+    return x * np.exp(np.log1p(np.log1p(x)) / r)
+
+
 @dataclass(frozen=True)
 class OrliczFunction:
     """Young function, one of exp_type(x) = e^{x^r} - 1 or
@@ -105,9 +111,7 @@ class OrliczFunction:
         with np.errstate(over="ignore"):
             if self.family == "exp_type":
                 return np.expm1(x**self.r)
-            # (1 + log1p(x))^(1/r) as exp(log1p(log1p(x))/r): rounding
-            # 1 + log1p(x) would cost about 2^-53/r relative accuracy
-            return x * np.exp(np.log1p(np.log1p(x)) / self.r)
+            return _log_type(x, self.r)
 
     def inverse(self, y):
         """Inverse on y >= 0; exact for exp_type, bisection for log_type."""
@@ -115,7 +119,9 @@ class OrliczFunction:
         if np.any(y < 0):
             raise DomainError("inverse needs y >= 0")
         if self.family == "exp_type":
-            return np.log1p(y) ** (1.0 / self.r)
+            # overflows to inf at tiny r, which puts the Luxemburg bracket's lower end at 0
+            with np.errstate(over="ignore"):
+                return np.log1p(y) ** (1.0 / self.r)
         # phi_r(x) >= x for x >= 0, so the root lies in [0, y]
         lo = np.zeros_like(y)
         hi = np.maximum(y, np.finfo(np.float64).tiny)
@@ -239,10 +245,7 @@ def luxemburg_norm(f: TrigPolynomial, phi: OrliczFunction, M: int | None = None)
 def psi_set_norm(A, r: float) -> float:
     """exp_type Luxemburg norm of the indicator polynomial of A, on the
     adaptive grid."""
-    f = TrigPolynomial.indicator(A)
-    if len(f) == 0:
-        return 0.0
-    return luxemburg_norm(f, OrliczFunction("exp_type", r))
+    return luxemburg_norm(TrigPolynomial.indicator(A), OrliczFunction("exp_type", r))
 
 
 def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) -> float:
@@ -257,7 +260,7 @@ def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) 
     if len(f) == 0:
         return 0.0
     a = _grid_abs(f, M, 16)
-    return float(np.mean(a * (1.0 + np.log1p(a)) ** (1.0 / p_conj)))
+    return float(np.mean(_log_type(a, p_conj)))
 
 
 def psi_norm_of_constant(c: float, r: float) -> float:

@@ -97,18 +97,15 @@ def estimate_bracket(
     if not 1 <= groups <= trials:
         raise DomainError(f"need 1 <= groups <= trials, got groups={groups}")
 
-    if len(f) == 0:
-        means = tuple(0.0 for _ in range(groups))
-        return NormEstimate(
-            0.0, trials, groups, 0.0, SUP_REL_TOL, means, d.kind, d.p, d.seed, d.stream_id
-        )
-
     n = len(f)
-    _check_bytes(16 * trials * n + _draw_bytes(trials * n), f"{trials} x {n} driver rows")
-    z = sample_driver(d, trials * n).reshape(trials, n)
-    # complex draws take the coefficients in place; real signs need a complex copy
-    rows = z * f.coeffs if d.kind == "rademacher" else np.multiply(z, f.coeffs, out=z)
-    sups = sup_norm_rows(f.freqs, rows, SUP_REL_TOL)
+    if n == 0:
+        sups = np.zeros(trials)
+    else:
+        _check_bytes(16 * trials * n + _draw_bytes(trials * n), f"{trials} x {n} driver rows")
+        z = sample_driver(d, trials * n).reshape(trials, n)
+        # complex draws take the coefficients in place; real signs need a complex copy
+        rows = z * f.coeffs if d.kind == "rademacher" else np.multiply(z, f.coeffs, out=z)
+        sups = sup_norm_rows(f.freqs, rows, SUP_REL_TOL)
 
     mom, means = median_of_means(sups, groups)
     heavy = d.kind == "p_stable" and d.p < 2.0
@@ -128,18 +125,13 @@ def estimate_bracket(
     )
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 1.0 <= p <= 2.0:
-        raise DomainError(f"need 1 <= p <= 2, got p={p}")
-    return p
-
-
 def zero_one_upper(n: int, lambda_max: int, p: float) -> float:
     """Counting comparator n^(1/p) (log lambda_max)^(1/p') for 0-1 spectra."""
     n = int(n)
     lambda_max = int(lambda_max)
-    p = _check_p(p)
+    p = float(p)
+    if not 1.0 <= p <= 2.0:
+        raise DomainError(f"need 1 <= p <= 2, got p={p}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if lambda_max < 2:
@@ -152,14 +144,14 @@ def zero_one_upper(n: int, lambda_max: int, p: float) -> float:
 def sz_lower(f: TrigPolynomial, p: float) -> float:
     """Interval-calibrated lower comparator with unit constant.
 
-    N^(1/p) (log N)^(1/p') * (sum |c|) / N with N the largest frequency;
-    the spectrum must lie in {1..N} and N must be at least 2.  On the
-    indicator of {1..N} it equals zero_one_upper(N, N, p), so the two
-    comparators match there.  On a 0-1 spectrum of n < N terms it is
-    smaller by (n/N)^(1/p') and is only a lower bound: on the lacunary
-    {2, 4, ..., 2^n} it decays against the counting bound.
+    zero_one_upper(N, N, p) * (sum |c|) / N, that is N^(1/p) (log N)^(1/p')
+    * (sum |c|) / N, with N the largest frequency; the spectrum must lie in
+    {1..N} and N must be at least 2.  On the indicator of {1..N} it equals
+    zero_one_upper(N, N, p), so the two comparators match there.  On a 0-1
+    spectrum of n < N terms it is smaller by (n/N)^(1/p') and is only a
+    lower bound: on the lacunary {2, 4, ..., 2^n} it decays against the
+    counting bound.
     """
-    p = _check_p(p)
     if len(f) == 0:
         raise DomainError("sz_lower needs a nonempty polynomial")
     if f.freqs[0] < 1:
@@ -167,6 +159,4 @@ def sz_lower(f: TrigPolynomial, p: float) -> float:
     N = int(f.freqs[-1])
     if N < 2:
         raise DomainError(f"need max frequency >= 2, got {N}")
-    log_part = 1.0 if p == 1.0 else math.log(N) ** (1.0 / conjugate(p))
-    total = float(np.abs(f.coeffs).sum())
-    return N ** (1.0 / p) * log_part * total / N
+    return zero_one_upper(N, N, p) * float(np.abs(f.coeffs).sum()) / N

@@ -210,8 +210,6 @@ def fq_norm(f: TrigPolynomial, q: float) -> float:
     a = np.abs(f.coeffs)
     if q == math.inf:
         return float(a.max())
-    if q == 1.0:
-        return float(a.sum())
     if q == 2.0:
         return float(np.sqrt((a * a).sum()))
     return float((a**q).sum() ** (1.0 / q))
@@ -297,8 +295,9 @@ def _product_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
 
 
 def _gap(deg: int, M: int, level: int) -> float:
-    """Curvature gap 1.02*(deg*h)^2/2, capped at 0.49, of cells of width h = 2 pi / (M*2^level)."""
-    return min(0.49, 1.02 * (deg * (2.0 * np.pi / M * 0.5**level)) ** 2 / 2.0)
+    """Curvature gap 1.02*(deg*h)^2/2 of cells of width h = 2 pi / (M*2^level);
+    M >= 16*(deg+1) keeps it below 1.02*(2 pi/16)^2/2 < 0.08."""
+    return 1.02 * (deg * (2.0 * np.pi / M * 0.5**level)) ** 2 / 2.0
 
 
 def _charge_round(n: int, kept: int, waiting: int, seeds: int, levels: int) -> None:

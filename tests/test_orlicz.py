@@ -127,6 +127,8 @@ def test_empty_inputs():
     phi = OrliczFunction("exp_type", 2.0)
     assert luxemburg_norm(TrigPolynomial(), phi) == 0.0
     assert psi_set_norm([], 2.0) == 0.0
+    with pytest.raises(DomainError):
+        psi_set_norm([], -1.0)
     assert log_type_functional(TrigPolynomial(), 2.0) == 0.0
 
 
@@ -236,6 +238,15 @@ def test_luxemburg_of_samples_replays_the_bisection_bit_for_bit(family, r, phi_g
     assert np.mean(random_evals) <= 12.0
     zeros = np.zeros(1024)
     assert _luxemburg_of_samples(zeros, phi) == _bisection_oracle(zeros, phi)[0] == 0.0
+
+
+def test_exp_type_at_tiny_r_starts_the_bracket_at_zero():
+    # log1p(M)^(1/r) is inf at r = 1e-3, with no overflow warning, so the
+    # bracket's lower end is 0
+    phi = OrliczFunction("exp_type", 1e-3)
+    assert float(phi.inverse(1024.0)) == math.inf
+    v = np.abs(evaluate_grid(TrigPolynomial({1: 1.0, 3: 0.5}), 1024))
+    assert _luxemburg_of_samples(v, phi) == _bisection_oracle(v, phi)[0]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -33,7 +33,8 @@ def test_estimate_bracket_empty_polynomial():
     d = DriverDistribution("rademacher")
     est = estimate_bracket(TrigPolynomial(), d, trials=10)
     assert est.value == 0.0 and est.spread == 0.0
-    assert est.trials == 10
+    assert est.trials == 10 and est.groups == 3
+    assert est.group_means == (0.0,) * est.groups
 
 
 def test_estimate_bracket_determinism():
@@ -102,10 +103,13 @@ def test_zero_one_upper_formula():
 
 
 def test_sz_lower_matches_counting_bound_on_intervals():
-    for N in (2, 16, 1000, 4096):
+    # sz_lower is zero_one_upper(N, N, p) * N / N there, which rounds back
+    # exactly at N = 2, 17 and 4096
+    for N in (2, 16, 17, 1000, 4096):
         f = TrigPolynomial.indicator(range(1, N + 1))
         for p in (1.0, 1.2, 1.5, 2.0):
-            assert math.isclose(sz_lower(f, p), zero_one_upper(N, N, p), rel_tol=1e-12)
+            got, want = sz_lower(f, p), zero_one_upper(N, N, p)
+            assert got == want if N in (2, 17, 4096) else math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_sz_lower_formula_and_domain():
