@@ -10,7 +10,7 @@ returns the feasible bracket end, and it is computed in two steps that give
 that bisection's result bit for bit from a quarter to a third of its grid
 evaluations:
 
-1. Find the root.  Illinois regula falsi in log t, on log F (log_type) or
+1. Find the root.  Secant steps in log t, on log F (log_type) or
    log log(1 + F) (exp_type), levels that are close to linear in log t.  It
    keeps the largest point a with computed F(a) > 1 + 3E and the smallest b
    with computed F(b) <= 1 - 3E, where E bounds the relative rounding of a
@@ -164,8 +164,7 @@ def _certified_bracket(
     aim_above, aim_below = level(1.0 + 5.0 * E), level(1.0 - 5.0 * E)
     a, b, Fa, Fb = lo, hi, math.inf, -math.inf
     t = hi if guess is None else min(max(guess, lo), hi)
-    above = below = prev = None  # (log t, level), level > 0 above the root
-    side = 0
+    prev = None  # (log t, level) of the last evaluation
     for _ in range(_ROOT_SEARCH_STEPS):
         if b - a <= _BISECT_REL_TOL * a / 8.0 or (Fa <= 1.0 + 10.0 * E and Fb >= 1.0 - 10.0 * E):
             break
@@ -177,23 +176,10 @@ def _certified_bracket(
             b, Fb = t, F
         s, g = math.log(t), level(min(F, _FLOAT_MAX))  # F overflows where lo is 0
         if prev is not None and s != prev[0] and (prev[1] - g) / (s - prev[0]) > 0.0:
-            slope = (prev[1] - g) / (s - prev[0])  # the secant's, while one side is known
+            slope = (prev[1] - g) / (s - prev[0])  # the secant's through the last two points
         prev = (s, g)
-        # Illinois: a second step in a row on one side halves the other end
-        if g > 0.0:
-            if side > 0 and below is not None:
-                below = (below[0], 0.5 * below[1])
-            above, side = (s, g), 1
-        else:
-            if side < 0 and above is not None:
-                above = (above[0], 0.5 * above[1])
-            below, side = (s, g), -1
         aim = aim_above if t - a > b - t else aim_below
-        if above is not None and below is not None:
-            s = above[0] + (aim - above[1]) * (below[0] - above[0]) / (below[1] - above[1])
-        else:
-            s += (g - aim) / slope
-        t_next = math.exp(min(s, math.log(b)))
+        t_next = math.exp(min(s + (g - aim) / slope, math.log(b)))
         if not a < t_next < b:
             end = a if t_next <= a else b
             t_next = math.sqrt(t) * math.sqrt(end) if end > 0.0 else 0.5 * t

@@ -115,16 +115,9 @@ def _check_magnitude(A: tuple) -> None:
         raise ResourceLimitError("sum of |elements| too large for exact int64 sums")
 
 
-def _decode_rep(rep: int, members: tuple, positions: dict, size: int) -> list:
-    # rep packs base-3 digits over the half's local indices: 1 -> +1, 2 -> -1
-    theta = [0] * size
-    for local, g in enumerate(members):
-        digit = (rep // 3**local) % 3
-        if digit == 1:
-            theta[positions[g]] = 1
-        elif digit == 2:
-            theta[positions[g]] = -1
-    return theta
+def _signs(rep: int, size: int) -> list:
+    # rep packs base-3 digits, one per member: 1 -> +1, 2 -> -1
+    return [(0, 1, -1)[rep // 3**i % 3] for i in range(size)]
 
 
 def _half_sums(members: tuple):
@@ -176,16 +169,17 @@ def is_quasi_independent(B) -> tuple:
     _check_magnitude(B)
     if not B:
         return (True, None)
-    positions = {g: i for i, g in enumerate(B)}
+    # a witness packs one base-3 digit per member of B, so a right-half
+    # rep shifts up by 3^half
     half = len(B) // 2
     left, right = B[:half], B[half:]
 
     sums_l, reps_l, zero_rep = _half_sums(left)
     if zero_rep is not None:
-        return (False, _decode_rep(zero_rep, left, positions, len(B)))
+        return (False, _signs(zero_rep, len(B)))
     sums_r, reps_r, zero_rep = _half_sums(right)
     if zero_rep is not None:
-        return (False, _decode_rep(zero_rep, right, positions, len(B)))
+        return (False, _signs(zero_rep * 3**half, len(B)))
 
     # cross collision: s in left sums, -s in right sums, s != 0 means both
     # representatives are nonzero (zero sums with nonzero reps were caught
@@ -197,9 +191,7 @@ def is_quasi_independent(B) -> tuple:
         where = np.flatnonzero((sums_l[idx] == neg) & (neg != 0))
         if where.size:
             j = int(where[0])
-            theta_l = _decode_rep(int(reps_l[idx[j]]), left, positions, len(B))
-            theta_r = _decode_rep(int(reps_r[start + j]), right, positions, len(B))
-            return (False, [a + b for a, b in zip(theta_l, theta_r)])
+            return (False, _signs(int(reps_l[idx[j]]) + int(reps_r[start + j]) * 3**half, len(B)))
     return (True, None)
 
 

@@ -142,9 +142,11 @@ def test_qis_partition(capsys, tmp_path):
 
 def test_qis_rejects_non_integer_input(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('[1, "two", 3]')
-    code, _, err = run_cli(capsys, "qis", "check", str(path))
-    assert code == 2 and "integers" in err
+    # the last two are valid JSON but not a list
+    for text in ('[1, "two", 3]', "5", '{"a": 1}'):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "qis", "check", str(path))
+        assert code == 2 and "integers" in err, text
 
 
 def test_sets_generate(capsys):
@@ -404,7 +406,10 @@ def test_sets_generate_squares_over_byte_cap_exits_2(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("text", ["seed = 1\n", "[E10]\nsize_max = 5\nsize_max = 6\n", "[E10]\nsize_max = %(x)s\n"])
+# a raw value that is not JSON, like abc, reaches the experiment as a string
+@pytest.mark.parametrize(
+    "text", ["seed = 1\n", "[E10]\nsize_max = 5\nsize_max = 6\n", "[E10]\nsize_max = %(x)s\n", "[E10]\nsize_max = abc\n"]
+)
 def test_run_unreadable_config_exits_2(capsys, tmp_path, text):
     cfg = tmp_path / "lab.ini"
     cfg.write_text(text)

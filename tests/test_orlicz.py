@@ -240,6 +240,49 @@ def test_luxemburg_of_samples_replays_the_bisection_bit_for_bit(family, r, phi_g
     assert _luxemburg_of_samples(zeros, phi) == _bisection_oracle(zeros, phi)[0] == 0.0
 
 
+def _stress_samples(rng):
+    """A Young function and samples: either family, r log-uniform in
+    [10^-2.5, 10^3], 2^8 to 2^14 points of random-spectrum, spiky, Pareto,
+    zero-padded or 1e-14-noisy constant samples."""
+    phi = OrliczFunction(FAMILIES[int(rng.integers(2))], float(10.0 ** rng.uniform(-2.5, 3.0)))
+    M = 1 << int(rng.integers(8, 15))
+    kind = ("random", "spiky", "pareto", "padded", "noisy")[int(rng.integers(5))]
+    if kind == "random":
+        freqs = rng.choice(M // 16, size=min(int(rng.integers(2, 41)), M // 16), replace=False)
+        coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+        return phi, np.abs(evaluate_grid(TrigPolynomial(zip(freqs.tolist(), coeffs.tolist())), M))
+    if kind == "pareto":
+        return phi, rng.pareto(rng.uniform(0.5, 3.0), M)
+    if kind == "noisy":
+        return phi, 2.5 * (1.0 + 1e-14 * rng.standard_normal(M))
+    return phi, _samples(kind, M, rng)
+
+
+def test_root_search_cost_on_a_stress_corpus(phi_grid_calls):
+    # secant steps spend 1651 evaluations here and the bound allows 2% more,
+    # so a search 5% costlier (Illinois regula falsi spent 1733) fails it
+    rng = np.random.default_rng(31)
+    evals = 0
+    for case in range(240):
+        phi, v = _stress_samples(rng)
+        want, _ = _bisection_oracle(v, phi)
+        phi_grid_calls.clear()
+        assert _luxemburg_of_samples(v, phi) == want, (case, phi)
+        evals += phi_grid_calls.get(v.size, 0)
+    assert evals <= 1684
+
+
+def test_adaptive_grid_doubles_past_its_second_grid(phi_grid_calls):
+    rng = np.random.default_rng([0, 30])
+    freqs = rng.choice(np.arange(1, 60), size=5, replace=False)
+    f = TrigPolynomial(zip(freqs.tolist(), rng.standard_normal(5).tolist()))
+    phi = OrliczFunction("exp_type", 30.0)
+    got = luxemburg_norm(f, phi)
+    grids = sorted(phi_grid_calls)
+    assert grids == [1024, 2048, 4096]
+    assert got == luxemburg_norm(f, phi, M=grids[-1])
+
+
 def test_exp_type_at_tiny_r_starts_the_bracket_at_zero():
     # log1p(M)^(1/r) is inf at r = 1e-3, with no overflow warning, so the
     # bracket's lower end is 0

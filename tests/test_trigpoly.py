@@ -525,6 +525,24 @@ def test_lq_function_norm_examples():
     assert math.isclose(lq_function_norm(f, 4.0), 6.0**0.25, rel_tol=1e-12)
 
 
+def test_lq_function_norm_doubles_the_default_grid_for_even_q():
+    # |f|^18 = |f^9|^2 spans frequencies up to 18*63 = 1134, past the default
+    # grid of 1024, where the mean picks up the aliased frequency 1024 (7 of 63
+    # and 2 of 8 against 9 of -63): 2.3e-7 relative
+    terms = {-63: 1.0, 8: 1.0, 63: 1.0}
+    f = TrigPolynomial(terms)
+    assert default_grid_size(f.degree) == 1024
+    c = np.zeros(127)
+    for g, x in terms.items():
+        c[g + 63] = x
+    power = np.ones(1)
+    for _ in range(9):
+        power = np.convolve(power, c)
+    want = float(np.sum(power**2)) ** (1.0 / 18.0)
+    assert math.isclose(lq_function_norm(f, 18.0), want, rel_tol=1e-12)
+    assert not math.isclose(lq_function_norm(f, 18.0, M=1024), want, rel_tol=1e-8)
+
+
 def test_lq_function_norm_parseval():
     rng = np.random.default_rng(15)
     for _ in range(20):
