@@ -73,13 +73,6 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _coerce(raw: str):
-    try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):
-        return raw
-
-
 def _load_config(path: str | None, exp_id: str) -> dict:
     if path is None:
         return {}
@@ -89,8 +82,7 @@ def _load_config(path: str | None, exp_id: str) -> dict:
         parser.read_string(_read_text(path), source=path)
         for section in ("common", exp_id):
             if parser.has_section(section):
-                for key, raw in parser.items(section):
-                    merged[key] = _coerce(raw)
+                merged.update(parser.items(section))
     except configparser.Error as exc:
         raise DomainError(" ".join(str(exc).split())) from exc
     return merged

@@ -429,12 +429,7 @@ def default_config(exp_id: str) -> dict:
 
 
 def _number(val, kind: type):
-    """val as a finite int or float (kind), or None; numeric strings are parsed, bools are not numbers."""
-    if isinstance(val, str):
-        try:
-            val = json.loads(val)
-        except (ValueError, RecursionError):
-            return None
+    """val as a finite int or float (kind), or None; bools are not numbers."""
     if isinstance(val, bool) or not isinstance(val, numbers.Real):
         return None
     if kind is int and isinstance(val, numbers.Integral):
@@ -445,7 +440,8 @@ def _number(val, kind: type):
 
 def _checked_config(exp_id: str, config: dict | None) -> dict:
     """The defaults with each override coerced to its default's type and
-    range-checked; a bad value raises DomainError naming the key."""
+    range-checked; a string override is read as JSON once, when it parses.
+    A bad value raises DomainError naming the key."""
     cfg = default_config(exp_id)
     for key, val in (config or {}).items():
         if key not in cfg:
@@ -453,7 +449,11 @@ def _checked_config(exp_id: str, config: dict | None) -> dict:
         listed = isinstance(cfg[key], list)
         kind = type(cfg[key][0] if listed else cfg[key])
         test, span = _RANGES.get(key, (None, ""))
-        items = val if listed else [val]
+        try:
+            parsed = json.loads(val) if isinstance(val, str) else val
+        except (ValueError, RecursionError):
+            parsed = val
+        items = parsed if listed else [parsed]
         got = [_number(v, kind) for v in items] if isinstance(items, list) else []
         if not got or None in got or (test and not all(map(test, got))):
             noun = "int" if kind is int else "finite number"

@@ -213,8 +213,6 @@ def luxemburg_norm(f: TrigPolynomial, phi: OrliczFunction, M: int | None = None)
     Explicit M must be at least 16*(degree+1); without it the grid doubles
     adaptively.  Empty polynomial gives 0.
     """
-    if len(f) == 0:
-        return 0.0
     if M is not None:
         return _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
     M = default_grid_size(f.degree)
@@ -243,8 +241,6 @@ def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) 
     p_conj = float(p_conj)
     if not p_conj > 0.0:
         raise DomainError(f"need p_conj > 0, got {p_conj}")
-    if len(f) == 0:
-        return 0.0
     a = _grid_abs(f, M, 16)
     return float(np.mean(_log_type(a, p_conj)))
 

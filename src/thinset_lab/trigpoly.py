@@ -205,11 +205,9 @@ def fq_norm(f: TrigPolynomial, q: float) -> float:
     """Coefficient l_q norm (sum |c|^q)^(1/q); q = inf gives max |c|."""
     if not (q == math.inf or q >= 1.0):
         raise DomainError(f"need q >= 1, got q={q}")
-    if len(f) == 0:
-        return 0.0
     a = np.abs(f.coeffs)
     if q == math.inf:
-        return float(a.max())
+        return float(a.max(initial=0.0))
     if q == 2.0:
         return float(np.sqrt((a * a).sum()))
     return float((a**q).sum() ** (1.0 / q))
@@ -223,13 +221,11 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
     """
     if not (1.0 < q < 2.0):
         raise DomainError(f"need q in (1,2), got q={q}")
-    if len(f) == 0:
-        return (0.0, 0.0)
     a = np.sort(np.abs(f.coeffs))[::-1]
     n = np.arange(1, a.size + 1, dtype=np.float64)
     q_conj = q / (q - 1.0)
     l_q1 = float((a / n ** (1.0 / q_conj)).sum())
-    l_qinf = float((n ** (1.0 / q) * a).max())
+    l_qinf = float((n ** (1.0 / q) * a).max(initial=0.0))
     return (l_q1, l_qinf)
 
 
@@ -246,16 +242,14 @@ def evaluate_grid(f: TrigPolynomial, M: int) -> np.ndarray:
 
 
 def _fft_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
-    """f_row(2 pi k / M), k = 0..M-1: numpy's ifft of each scattered row, times M.
+    """f_row(2 pi k / M), k = 0..M-1: the unscaled inverse FFT of each scattered row.
 
     Coefficients land on their frequency's residue mod M, so frequencies
     that alias on this grid sum.
     """
     buf = np.zeros((rows.shape[0], M), dtype=np.complex128)
     np.add.at(buf, (slice(None), np.mod(freqs, M)), rows)
-    vals = np.fft.ifft(buf, axis=1)
-    vals *= M
-    return vals
+    return np.fft.ifft(buf, axis=1, norm="forward")
 
 
 def _unit_roots(m: np.ndarray, M: int) -> np.ndarray:
@@ -516,17 +510,14 @@ def sup_norm(f: TrigPolynomial, rel_tol: float = 1e-9) -> float:
 def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float:
     """(grid mean of |f|^q)^(1/q) on M equispaced points.
 
-    Exact for even integer q <= 16 at the default grid (then M > q*degree);
-    otherwise a quadrature approximation.  q must be finite (sup_norm is
-    the q = inf norm).  An explicit M must be at least 4*(degree+1).
+    Exact for every even integer q when M is not given (the grid then has
+    M > q*degree points); otherwise a quadrature approximation.  q must be
+    finite (sup_norm is the q = inf norm).  An explicit M must be at least
+    4*(degree+1).
     """
     if not 1.0 <= q < math.inf:
         raise DomainError(f"need finite q >= 1, got q={q}; the sup norm is the q = inf case")
-    if len(f) == 0:
-        return 0.0
     if M is None and float(q).is_integer() and int(q) % 2 == 0:
-        M = default_grid_size(f.degree)
-        while M <= int(q) * f.degree:
-            M *= 2
+        M = max(default_grid_size(f.degree), 1 << (int(q) * f.degree).bit_length())
     a = _grid_abs(f, M, 4)
     return float(np.mean(a**q) ** (1.0 / q))

@@ -449,6 +449,7 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         (["sets", "generate", "--kind", "sums_of_powers", "--base", "2", "--d", "30", "--limit", str(10**18)], "", "cap"),
         (["norm", "orlicz", "-", "--family", "psi", "--r", "1e-300"], "[[1, 1.0, 0.0]]", "r=1e-300"),
         (["norm", "orlicz", "-", "--family", "phi", "--r", "1e-300"], "[[1, 1.0, 0.0], [3, 1.0, 0.0]]", "too small"),
+        (["norm", "stable", "-", "--kind", "p_stable", "--trials", "8"], "[[1, 1.0, 0.0]]", "needs --p"),
     ],
     ids=[
         "mesh_huge_member",
@@ -457,11 +458,13 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         "sums_of_powers_over_cap",
         "orlicz_tiny_r",
         "orlicz_phi_tiny_r",
+        "stable_without_p",
     ],
 )
 def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
     # each of these once escaped as an OverflowError or ZeroDivisionError, or
-    # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning
+    # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning;
+    # a p-stable driver without --p has no p to take
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert needle in assert_one_line_exit_2(capsys, *argv)
 
@@ -492,6 +495,7 @@ def _write_config(tmp_path, exp_id, overrides):
         ("E11", "p", 3),
         ("E10", "band", math.nan),
         ("E6", "universe", 5),
+        ("E10", "size_max", "6"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_key(capsys, tmp_path, exp_id, key, value):

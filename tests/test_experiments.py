@@ -1,6 +1,7 @@
 """Experiment harness: registry, config handling, reports, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,14 @@ def test_unknown_config_key_rejected():
 def test_seed_coerced_to_int():
     report = run_experiment("E10", {"seed": "3", "size_max": 5})
     assert report.config["seed"] == 3
+
+
+def test_string_override_read_as_json_once():
+    # the text an INI line would hold: a JSON list is a list, a JSON string is
+    # not a number, and the error shows the value as it was given
+    assert run_experiment("E1", {"n": 2000, "ps": "[1.2, 1.5]"}).config["ps"] == [1.2, 1.5]
+    with pytest.raises(DomainError, match=re.escape("""E10 config size_max: want int, got '"6"'""")):
+        run_experiment("E10", {"size_max": '"6"'})
 
 
 def test_run_experiment_reduced_e7_passes():

@@ -130,6 +130,11 @@ def test_empty_inputs():
     with pytest.raises(DomainError):
         psi_set_norm([], -1.0)
     assert log_type_functional(TrigPolynomial(), 2.0) == 0.0
+    # an explicit grid is checked against the floor for every polynomial
+    with pytest.raises(DomainError):
+        luxemburg_norm(TrigPolynomial(), phi, M=8)
+    with pytest.raises(DomainError):
+        log_type_functional(TrigPolynomial(), 2.0, M=8)
 
 
 def test_psi_set_norm_matches_indicator_norm():

@@ -91,9 +91,13 @@ def test_empty_polynomial_degree_and_norms():
     f = TrigPolynomial()
     assert len(f) == 0 and f.degree == 0
     assert fq_norm(f, 1.0) == 0.0
+    assert fq_norm(f, math.inf) == 0.0
     assert sup_norm(f) == 0.0
     assert lq_function_norm(f, 2.0) == 0.0
     assert lorentz_norms(f, 1.5) == (0.0, 0.0)
+    # an explicit grid is checked against the floor for every polynomial
+    with pytest.raises(DomainError):
+        lq_function_norm(f, 2.0, M=2)
 
 
 def test_coefficient_arrays_read_only():
@@ -526,21 +530,25 @@ def test_lq_function_norm_examples():
 
 
 def test_lq_function_norm_doubles_the_default_grid_for_even_q():
-    # |f|^18 = |f^9|^2 spans frequencies up to 18*63 = 1134, past the default
-    # grid of 1024, where the mean picks up the aliased frequency 1024 (7 of 63
-    # and 2 of 8 against 9 of -63): 2.3e-7 relative
-    terms = {-63: 1.0, 8: 1.0, 63: 1.0}
-    f = TrigPolynomial(terms)
-    assert default_grid_size(f.degree) == 1024
-    c = np.zeros(127)
-    for g, x in terms.items():
-        c[g + 63] = x
-    power = np.ones(1)
-    for _ in range(9):
-        power = np.convolve(power, c)
-    want = float(np.sum(power**2)) ** (1.0 / 18.0)
-    assert math.isclose(lq_function_norm(f, 18.0), want, rel_tol=1e-12)
-    assert not math.isclose(lq_function_norm(f, 18.0, M=1024), want, rel_tol=1e-8)
+    # |f|^q = |f^(q/2)|^2 spans frequencies up to q*degree.  At q = 18 on
+    # {-63, 8, 63} that is 1134, past the default grid of 1024, where the mean
+    # picks up the aliased frequency 1024 (7 of 63 and 2 of 8 against 9 of
+    # -63): 2.3e-7 relative.  At q = 32 on {-32, 5, 32} it is exactly 1024,
+    # where 16 of 32 against 16 of -32 alias: 4.5e-11 relative, so the grid
+    # must double when q*degree equals it too.
+    cases = [({-63: 1.0, 8: 1.0, 63: 1.0}, 18, 1e-8), ({-32: 1.0, 5: 0.125, 32: 1.0}, 32, 1e-11)]
+    for terms, q, aliased_rel in cases:
+        f = TrigPolynomial(terms)
+        assert default_grid_size(f.degree) == 1024
+        c = np.zeros(2 * f.degree + 1)
+        for g, x in terms.items():
+            c[g + f.degree] = x
+        power = np.ones(1)
+        for _ in range(q // 2):
+            power = np.convolve(power, c)
+        want = float(np.sum(power**2)) ** (1.0 / q)
+        assert math.isclose(lq_function_norm(f, float(q)), want, rel_tol=1e-12)
+        assert not math.isclose(lq_function_norm(f, float(q), M=1024), want, rel_tol=aliased_rel)
 
 
 def test_lq_function_norm_parseval():
