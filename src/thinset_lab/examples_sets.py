@@ -183,14 +183,12 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
             counts[freqs[0] * alpha] = 1
     else:
         counts[0] = 1
-        for i in range(alpha):
-            width = min(i * freqs[-1], n) + 1  # sums of i members are at most i*max
+        for _ in range(alpha):
             nxt = np.zeros(n + 1, dtype=np.int64)
             for g in freqs:
                 if g > n:
                     break
-                m = min(width, n + 1 - g)
-                nxt[g : g + m] += counts[:m]
+                nxt[g:] += counts[: n + 1 - g]
             counts = nxt
     mean_square = float((counts[1:].astype(np.float64) ** 2).mean())
     return RepresentationCounts(

@@ -80,10 +80,10 @@ def _stable_driver(p: float, seed: int, stream: int) -> DriverDistribution:
     return DriverDistribution("p_stable", p=p, seed=seed, stream_id=stream)
 
 
-def _bracket(f: TrigPolynomial, p: float, cfg: dict, streams: itertools.count) -> NormEstimate:
+def _bracket(f: TrigPolynomial, p: float, cfg: dict, stream: int) -> NormEstimate:
     """The bracket of f over cfg["trials"] trials of a p-stable driver keyed
-    (cfg["seed"], the run's next stream)."""
-    return estimate_bracket(f, _stable_driver(p, cfg["seed"], next(streams)), cfg["trials"])
+    (cfg["seed"], stream)."""
+    return estimate_bracket(f, _stable_driver(p, cfg["seed"], stream), cfg["trials"])
 
 
 # --- E1: characteristic-function fidelity -----------------------------------
@@ -133,8 +133,8 @@ def _run_e2(cfg: dict, streams: itertools.count) -> list:
     checks = []
     for i in range(cfg["suite_size"]):
         f = _random_poly(make_rng(cfg["seed"], next(streams)))
-        e1 = _bracket(f, p1, cfg, streams)
-        e2 = _bracket(f, p2, cfg, streams)
+        e1 = _bracket(f, p1, cfg, next(streams))
+        e2 = _bracket(f, p2, cfg, next(streams))
         bound = 3.0 * e1.value + 5.0 * e1.spread
         checks.append(
             CheckResult(f"pairwise_{i}", e2.value / bound, e2.value / e1.value, e2.value <= bound)
@@ -166,8 +166,8 @@ def _run_e3(cfg: dict, streams: itertools.count) -> list:
         whole = TrigPolynomial(terms)
         part_sum = 0.0
         for fj in block_polys:
-            part_sum += _bracket(fj, p, cfg, streams).value ** p
-        ratio = part_sum ** (1.0 / p) / _bracket(whole, p, cfg, streams).value
+            part_sum += _bracket(fj, p, cfg, next(streams)).value ** p
+        ratio = part_sum ** (1.0 / p) / _bracket(whole, p, cfg, next(streams)).value
         checks.append(CheckResult(f"instance_{i}", ratio, ratio, ratio > 0))
     checks.append(_band_check("ratio_band", checks, cfg["band"]))
     return checks
@@ -177,13 +177,13 @@ def _run_e3(cfg: dict, streams: itertools.count) -> list:
 
 
 def _run_e4(cfg: dict, streams: itertools.count) -> list:
-    p, trials = cfg["p"], cfg["trials"]
+    p = cfg["p"]
     checks = []
     for i in range(cfg["suite_size"]):
         rng = make_rng(cfg["seed"], next(streams))
         f = _random_poly(rng)
         stream = next(streams)
-        base = estimate_bracket(f, _stable_driver(p, cfg["seed"], stream), trials)
+        base = _bracket(f, p, cfg, stream)
         cap = 1.0 + 5.0 * base.spread / base.value
         n = len(f)
         moduli = rng.uniform(0.0, 1.0, n)
@@ -197,7 +197,7 @@ def _run_e4(cfg: dict, streams: itertools.count) -> list:
             g = TrigPolynomial(zip(f.freqs.tolist(), (f.coeffs * mult).tolist()))
             # same stream as the base estimate: common random numbers keep
             # the comparison tight
-            est = estimate_bracket(g, _stable_driver(p, cfg["seed"], stream), trials)
+            est = _bracket(g, p, cfg, stream)
             ratio = est.value / base.value
             checks.append(CheckResult(f"contract_{i}_{name}", ratio, cap, ratio <= cap))
     return checks
@@ -221,14 +221,14 @@ def _run_e5(cfg: dict, streams: itertools.count) -> list:
     lacunary = []  # upper_ratio_n*, lower_ratio_n* alternating
     for n in ns:
         f = TrigPolynomial.indicator(generate("powers", 2**n))
-        value = _bracket(f, p, cfg, streams).value
+        value = _bracket(f, p, cfg, next(streams)).value
         up, lo = zero_one_upper(n, 2**n, p), sz_lower(f, p)
         lacunary.append(CheckResult(f"upper_ratio_n{n}", value / up, up, True))
         lacunary.append(CheckResult(f"lower_ratio_n{n}", value / lo, lo, True))
     interval = []
     for n in ns:
         f = TrigPolynomial.indicator(range(1, 2**n + 1))
-        value, lo = _bracket(f, p, cfg, streams).value, sz_lower(f, p)
+        value, lo = _bracket(f, p, cfg, next(streams)).value, sz_lower(f, p)
         interval.append(CheckResult(f"interval_lower_ratio_n{n}", value / lo, lo, True))
     return lacunary + interval + [
         _band_check("upper_band", lacunary[::2], cfg["band"]),
@@ -249,7 +249,7 @@ def _run_e6(cfg: dict, streams: itertools.count) -> list:
         size = int(rng.integers(4, 13))
         A = sorted(int(g) for g in rng.choice(universe, size=size, replace=False))
         qres = max_quasi_independent(A)
-        est = _bracket(TrigPolynomial.indicator(A), p, cfg, streams)
+        est = _bracket(TrigPolynomial.indicator(A), p, cfg, next(streams))
         comparator = (est.value / size ** (1.0 / p)) ** p_conj
         checks.append(CheckResult(f"probe_instance_{i}", qres.q_value / comparator, comparator, qres.exact))
     checks.append(_band_check("probe_ratio_band", checks, cfg["band"]))
@@ -333,7 +333,7 @@ def _run_e9(cfg: dict, streams: itertools.count) -> list:
     for n in range(cfg["size_min"], cfg["size_max"] + 1):
         f = TrigPolynomial.indicator(generate("powers", 2**n))
         l_q1, _ = lorentz_norms(f, q)
-        ratio = l_q1 / _bracket(f, p, cfg, streams).value
+        ratio = l_q1 / _bracket(f, p, cfg, next(streams)).value
         checks.append(CheckResult(f"lorentz_ratio_n{n}", ratio, l_q1, True))
     checks.append(_band_check("lorentz_band", checks, cfg["band"]))
     return checks

@@ -85,7 +85,7 @@ def derive_exponents(p: float, q: float) -> ExponentTable:
     p_conj = conjugate(p)
     q_conj = INF if q == 1.0 else conjugate(q)
     epsilon = (p - q) / (q * (p - 1.0))
-    alpha = 1.0 / (1.0 / p + (0.0 if q_conj == INF else 1.0 / q_conj))
+    alpha = 1.0 / (1.0 / p + 1.0 / q_conj)
     beta = 1.0 / q - 0.5
     s = 1.0 if q_conj == INF else 2.0 * q_conj / (2.0 * q_conj - p_conj)
     mesh_exp = 1.0 / epsilon

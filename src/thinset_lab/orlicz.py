@@ -69,6 +69,11 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _INVERSE_CHECK_TOL = 1e-6
 
 
+def _exp_type_rounding(r: float) -> float:
+    """E for exp_type at r; its root search aims at F = 1 - 5E, so r needs 5E < 1."""
+    return _ROUNDING * max(1.0, r / 10.0)
+
+
 def _log_type(x: np.ndarray, r: float) -> np.ndarray:
     """x (1 + log(1 + x))^(1/r), as x exp(log1p(log1p(x)) / r): rounding
     1 + log1p(x) would cost about 2^-53/r relative accuracy."""
@@ -78,7 +83,13 @@ def _log_type(x: np.ndarray, r: float) -> np.ndarray:
 @dataclass(frozen=True)
 class OrliczFunction:
     """Young function, one of exp_type(x) = e^{x^r} - 1 or
-    log_type(x) = x (1 + log(1+x))^{1/r}, with r > 0."""
+    log_type(x) = x (1 + log(1+x))^{1/r}, with r > 0.
+
+    exp_type needs r below about 2e12: the Luxemburg root search bounds the
+    rounding of a computed grid mean by E = 1e-12 r / 10 and aims at
+    F = 1 - 5E, which is not positive from there on.  log_type refuses an r
+    so small that its inverse at 1 falls below float64 resolution.
+    """
 
     family: str
     r: float
@@ -91,6 +102,11 @@ class OrliczFunction:
         if not r > 0.0:
             raise DomainError(f"need r > 0, got r={r}")
         object.__setattr__(self, "r", r)
+        if self.family == "exp_type" and not 5.0 * _exp_type_rounding(r) < 1.0:
+            raise DomainError(
+                f"r={r} is too large for exp_type: the Luxemburg root search needs r below "
+                f"about {2.0 / _ROUNDING:g}, where its rounding bound 1e-12*r/10 stays under 1/5"
+            )
         # the Luxemburg bracket divides by Phi^{-1}(1)
         inv = float(self.inverse(1.0))
         if not (inv > 0.0 and math.isfinite(1.0 / inv)):
@@ -152,7 +168,7 @@ def _certified_bracket(
     """
     if phi.family == "exp_type":
         # log(1 + F) is c t^-r when |v| is constant
-        E = _ROUNDING * max(1.0, phi.r / 10.0)
+        E = _exp_type_rounding(phi.r)
         slope = phi.r
 
         def level(F):

@@ -167,8 +167,6 @@ def is_quasi_independent(B) -> tuple:
     if len(B) > _CHECK_SIZE_CAP:
         raise ResourceLimitError(f"is_quasi_independent caps |B| at {_CHECK_SIZE_CAP}, got {len(B)}")
     _check_magnitude(B)
-    if not B:
-        return (True, None)
     # a witness packs one base-3 digit per member of B, so a right-half
     # rep shifts up by 3^half
     half = len(B) // 2

@@ -92,7 +92,7 @@ def estimate_bracket(
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     if groups is None:
-        groups = max(1, math.ceil(trials ** (1.0 / 3.0)))
+        groups = math.ceil(trials ** (1.0 / 3.0))
     groups = int(groups)
     if not 1 <= groups <= trials:
         raise DomainError(f"need 1 <= groups <= trials, got groups={groups}")

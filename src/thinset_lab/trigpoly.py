@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, _check_bytes
+from .exponents import conjugate
 
 __all__ = [
     "TrigPolynomial",
@@ -223,8 +224,7 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
         raise DomainError(f"need q in (1,2), got q={q}")
     a = np.sort(np.abs(f.coeffs))[::-1]
     n = np.arange(1, a.size + 1, dtype=np.float64)
-    q_conj = q / (q - 1.0)
-    l_q1 = float((a / n ** (1.0 / q_conj)).sum())
+    l_q1 = float((a / n ** (1.0 / conjugate(q))).sum())
     l_qinf = float((n ** (1.0 / q) * a).max(initial=0.0))
     return (l_q1, l_qinf)
 
@@ -402,6 +402,15 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
         Certified relative tolerance in [1e-15, 0.1]: each returned
         S satisfies true sup in [S, S*(1+rel_tol)].
 
+    Each row is estimated scaled by the power of two 2^-e that brings its
+    largest |c| into [1/2, 1) (np.frexp, applied with np.ldexp), and its
+    S is scaled back by 2^e.  A power-of-two scaling commutes with every
+    product, sum, square and square root below, so the certificate holds at
+    every coefficient magnitude whose sup is a finite float64, subnormal
+    rows included, where the squared moduli of unscaled rows would overflow
+    above about 1e154 or underflow below about 1e-154; rows already in range
+    get the same S bit for bit.
+
     |f| does not change when f is multiplied by exp(-i c t), so the
     spectrum is first shifted by its centre c = (min + max) // 2.  The
     centred spectrum has half-width deg = max |g - c| and width
@@ -484,7 +493,13 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     values = _product_values if product else _fft_values
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        vals = values(freqs, rows[lo:hi], M)
+        block = rows[lo:hi]
+        # row i is scaled by 2^-e[i], which brings its largest |c| into [1/2, 1)
+        e = np.frexp(np.abs(block).max(axis=1))[1]
+        scaled = np.empty_like(block)
+        np.ldexp(block.real, -e[:, None], out=scaled.real)
+        np.ldexp(block.imag, -e[:, None], out=scaled.imag)
+        vals = values(freqs, scaled, M)
         sq = vals.view(np.float64)
         np.square(sq, out=sq)
         g = sq[:, 0::2] + sq[:, 1::2]
@@ -495,8 +510,9 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
             at = np.flatnonzero(g >= bmax[:, None] * (1.0 - gap0))
             seeds = np.divmod(at, M)
             del g, at  # the refinement charges the kept samples, not the grid
-            _refine(freqs, rows[lo:hi], M, deg, rel_tol, best[lo:hi], *seeds)
-    return np.sqrt(best)
+            _refine(freqs, scaled, M, deg, rel_tol, best[lo:hi], *seeds)
+        best[lo:hi] = np.ldexp(np.sqrt(best[lo:hi]), e)
+    return best
 
 
 def sup_norm(f: TrigPolynomial, rel_tol: float = 1e-9) -> float:

@@ -76,6 +76,11 @@ def test_norm_sup_from_stdin(capsys, monkeypatch):
     assert obj["sup_norm"] == pytest.approx(2.0, rel=1e-9)
 
 
+def test_norm_sup_at_huge_coefficients(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[0, 1e200, 0], [3, 1e200, 0]]"))
+    assert run_json(capsys, "norm", "sup", "-")["sup_norm"] == 2e200
+
+
 def test_norm_fq_lorentz_lq(capsys, poly_file):
     path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0]])
     obj = run_json(capsys, "norm", "fq", path, "--q", "2")
@@ -96,6 +101,10 @@ def test_norm_orlicz_families(capsys, poly_file):
     assert obj["log_type_functional"] == pytest.approx(expected, rel=1e-9)
     code, _, err = run_cli(capsys, "norm", "orlicz", path, "--family", "psi", "--r", "2", "--functional")
     assert code == 2 and "phi" in err
+    # just inside the exp_type rounding limit of about 2e12
+    path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0]], name="two.json")
+    obj = run_json(capsys, "norm", "orlicz", path, "--family", "psi", "--r", "1e12")
+    assert obj["luxemburg_norm"] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_norm_stable_rademacher(capsys, poly_file):
@@ -449,6 +458,8 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         (["sets", "generate", "--kind", "sums_of_powers", "--base", "2", "--d", "30", "--limit", str(10**18)], "", "cap"),
         (["norm", "orlicz", "-", "--family", "psi", "--r", "1e-300"], "[[1, 1.0, 0.0]]", "r=1e-300"),
         (["norm", "orlicz", "-", "--family", "phi", "--r", "1e-300"], "[[1, 1.0, 0.0], [3, 1.0, 0.0]]", "too small"),
+        (["norm", "orlicz", "-", "--family", "psi", "--r", "1e20"], "[[1, 1.0, 0.0], [2, 1.0, 0.0]]", "too large"),
+        (["norm", "orlicz", "-", "--family", "psi", "--r", "2.1e12"], "[[1, 1.0, 0.0], [2, 1.0, 0.0]]", "too large"),
         (["norm", "stable", "-", "--kind", "p_stable", "--trials", "8"], "[[1, 1.0, 0.0]]", "needs --p"),
     ],
     ids=[
@@ -458,12 +469,15 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         "sums_of_powers_over_cap",
         "orlicz_tiny_r",
         "orlicz_phi_tiny_r",
+        "orlicz_huge_r",
+        "orlicz_r_past_the_rounding_limit",
         "stable_without_p",
     ],
 )
 def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
     # each of these once escaped as an OverflowError or ZeroDivisionError, or
-    # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning;
+    # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning,
+    # or (psi past r = 2e12) failed with a math domain error;
     # a p-stable driver without --p has no p to take
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert needle in assert_one_line_exit_2(capsys, *argv)

@@ -97,6 +97,14 @@ def test_reports_byte_identical_across_reruns():
     assert x == y
 
 
+def test_e4_contractions_share_the_base_stream():
+    # halving the coefficients halves every row exactly, so the half
+    # contraction's ratio is exactly 1/2 only on the base estimate's stream
+    report = run_experiment("E4", {"suite_size": 2, "trials": 50})
+    halves = [c.statistic for c in report.checks if c.name.endswith("_half")]
+    assert halves == [0.5, 0.5]
+
+
 def test_seed_changes_statistics():
     a = run_experiment("E2", {"suite_size": 2, "trials": 60, "seed": 0})
     b = run_experiment("E2", {"suite_size": 2, "trials": 60, "seed": 1})

@@ -234,6 +234,15 @@ def test_sup_norm_exact_cases():
     assert math.isclose(sup_norm(TrigPolynomial.indicator(A)), 4.0, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("c", [1e300, 1e200, 1e-160, 1e-170, 1e-310])
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-13])
+def test_sup_norm_certified_at_extreme_magnitudes(c, tol):
+    # the squared moduli of these rows overflow or underflow unless each row
+    # is first scaled by a power of two
+    s = sup_norm(TrigPolynomial({0: c, 3: c}), rel_tol=tol)
+    assert s <= 2.0 * c <= s * (1.0 + tol)
+
+
 def test_sup_norm_rel_tol_domain():
     f = TrigPolynomial({1: 1.0, 2: 1.0})
     for bad in (0.0, -1e-3, 0.2):
