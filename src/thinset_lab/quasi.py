@@ -8,16 +8,17 @@ collision between one half's sums and the negation of the other's; zero
 sums with a nonzero representative are caught while the halves are built.
 
 q(A), the largest size of a quasi-independent subset, is computed by
-branch-and-bound over inclusion order.  The search state is the set of
-signed sums achievable from the chosen set: a Python-int bitset when
-sum |A| < 2^24 (one bit probe per membership test, three shifts per
-extension), a sorted int64 array above that.  An element gamma can extend
-the set exactly when gamma is not an achievable sum, and
-|chosen| + |still addable| is an upper bound that prunes.
+branch-and-bound over inclusion order.  An element gamma can extend the
+chosen set exactly when gamma is not one of its achievable signed sums, and
+|chosen| + |still addable| is an upper bound that prunes.  When
+sum |A| < 2^24 the search state is those sums as a Python-int bitset (one
+bit probe per membership test, three shifts per extension); above that it
+is the chosen members alone, and the checker answers each membership test
+on chosen + {gamma}, holding 3^(k/2) sums per half instead of 3^k.
 
-Every array level of signed sums (a half enumeration step, an array-state
-extension) checks its bytes against the package byte cap (errors._BYTES_CAP)
-before allocating.
+Every array level of signed sums (a half enumeration step, the collision
+test) checks its bytes, with those of the arrays it keeps alive, against
+the package byte cap (errors._BYTES_CAP) before allocating.
 
 partition_lemma repeatedly extracts a maximum (or greedy, above the
 exact-size cap) quasi-independent subset from the remainder, trims it
@@ -51,11 +52,15 @@ _EXACT_SIZE_CAP = 25
 _SUM_MAGNITUDE_CAP = 1 << 62
 # below this sum |A| the signed sums of any subset fit a bitset of < 2^25 bits
 _BITSET_SUM_LIMIT = 1 << 24
-# peak bytes per new sum of one level: concatenation, representatives and
-# np.unique's sort (measured 53 for a half level, 25 for an array extension);
-# under the 2^30-byte cap a 15-element half (3^15 sums) fits, a 16-element
-# one with distinct sums does not
+# peak bytes per new sum of one half level: concatenation, representatives
+# and np.unique's sort (measured 53); under the 2^30-byte cap a 15-element
+# half (3^15 sums) fits, a 16-element one with distinct sums does not
 _BYTES_PER_SUM = 56
+# bytes per sum a finished half keeps: an int64 sum and a uint32 representative
+_BYTES_PER_KEPT_SUM = 12
+# peak bytes per right-half sum of one collision chunk's temporaries
+# (measured 25 to 32)
+_BYTES_PER_PROBE = 40
 _COLLISION_CHUNK = 1 << 16
 
 DEFAULT_BUDGET = 2_000_000
@@ -120,20 +125,21 @@ def _signs(rep: int, size: int) -> list:
     return [(0, 1, -1)[rep // 3**i % 3] for i in range(size)]
 
 
-def _half_sums(members: tuple):
+def _half_sums(members: tuple, held: int = 0):
     """All achievable signed sums of one half with one representative each.
 
     Returns (sums sorted int64 array, base-3 packed uint32 representatives
     aligned with it, zero_witness_rep or None).  A zero sum achievable with
     a nonzero sign vector is detected before deduplication collapses it
     onto the always-present empty representative.  Halves have at most 20
-    members, so representatives stay below 3^20 < 2^32.
+    members, so representatives stay below 3^20 < 2^32.  Each level's byte
+    charge adds the held bytes that the caller keeps alive meanwhile.
     """
     sums = np.zeros(1, dtype=np.int64)
     reps = np.zeros(1, dtype=np.uint32)
     for local, g in enumerate(members):
         n = sums.size
-        _check_bytes(3 * n * _BYTES_PER_SUM, f"half enumeration of {3 * n} signed sums")
+        _check_bytes(held + 3 * n * _BYTES_PER_SUM, f"half enumeration of {3 * n} signed sums")
         step = 3**local
         all_s = np.empty(3 * n, dtype=np.int64)
         all_s[:n] = sums
@@ -175,16 +181,19 @@ def is_quasi_independent(B) -> tuple:
     sums_l, reps_l, zero_rep = _half_sums(left)
     if zero_rep is not None:
         return (False, _signs(zero_rep, len(B)))
-    sums_r, reps_r, zero_rep = _half_sums(right)
+    sums_r, reps_r, zero_rep = _half_sums(right, _BYTES_PER_KEPT_SUM * sums_l.size)
     if zero_rep is not None:
         return (False, _signs(zero_rep * 3**half, len(B)))
+    kept = _BYTES_PER_KEPT_SUM * (sums_l.size + sums_r.size)
+    chunk = min(_COLLISION_CHUNK, sums_r.size)
+    _check_bytes(kept + _BYTES_PER_PROBE * chunk, f"collision test of {sums_r.size} signed sums")
 
     # cross collision: s in left sums, -s in right sums, s != 0 means both
     # representatives are nonzero (zero sums with nonzero reps were caught
     # above, so the kept rep of a zero sum is empty on both sides); chunks
     # of the right half keep the temporaries small and stop at the first hit
-    for start in range(0, sums_r.size, _COLLISION_CHUNK):
-        neg = -sums_r[start : start + _COLLISION_CHUNK]
+    for start in range(0, sums_r.size, chunk):
+        neg = -sums_r[start : start + chunk]
         idx = np.minimum(np.searchsorted(sums_l, neg), sums_l.size - 1)
         where = np.flatnonzero((sums_l[idx] == neg) & (neg != 0))
         if where.size:
@@ -217,30 +226,28 @@ class _BitSums:
         return _BitSums(b | b << a | b << (2 * a), self.off + a)
 
 
-class _ArraySums:
-    """Signed sums of a chosen set as a sorted int64 array."""
+class _CheckedSums:
+    """A quasi-independent chosen set, tested against each candidate by the
+    checker: g is not an achievable signed sum of chosen exactly when
+    chosen + (g,) is quasi-independent."""
 
-    __slots__ = ("sums",)
+    __slots__ = ("chosen",)
 
-    def __init__(self, sums: np.ndarray | None = None):
-        self.sums = np.zeros(1, dtype=np.int64) if sums is None else sums
+    def __init__(self, chosen: tuple = ()):
+        self.chosen = chosen
 
     def addable(self, candidates) -> list:
         """The candidates that are not achievable sums, in order."""
-        ss = self.sums
-        g = np.asarray(candidates, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(ss, g), ss.size - 1)
-        return [int(x) for x in g[ss[idx] != g]]
+        return [g for g in candidates if is_quasi_independent(self.chosen + (g,))[0]]
 
-    def extend(self, g: int) -> "_ArraySums":
-        ss = self.sums
-        _check_bytes(3 * ss.size * _BYTES_PER_SUM, f"signed-sum set of {3 * ss.size} sums")
-        return _ArraySums(np.unique(np.concatenate([ss, ss + g, ss - g])))
+    def extend(self, g: int) -> "_CheckedSums":
+        return _CheckedSums(self.chosen + (g,))
 
 
 def _empty_sums(elements):
-    """Signed sums of the empty set, as a bitset when sum |elements| < 2^24."""
-    return _BitSums() if sum(abs(g) for g in elements) < _BITSET_SUM_LIMIT else _ArraySums()
+    """Signed sums of the empty set: a bitset when sum |elements| < 2^24,
+    the checker on the chosen members above that."""
+    return _BitSums() if sum(abs(g) for g in elements) < _BITSET_SUM_LIMIT else _CheckedSums()
 
 
 class _Budget(Exception):
@@ -255,11 +262,11 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     quasi-independent chosen set exactly when gamma is not an achievable
     signed sum of it; elements failing that test now fail it forever, so
     candidates are filtered monotonically and |chosen| + |candidates|
-    prunes against the best known size.  Each node's signed sums are a
-    bitset when sum |A| < 2^24 and a sorted array above that (see the
-    module docstring).  Budget exhaustion, or a signed-sum level over the
-    byte cap, returns the best witness found with exact=False; exact
-    results are optimal.
+    prunes against the best known size.  Each node tests its candidates
+    on a bitset of signed sums when sum |A| < 2^24 and with the checker
+    above that (see the module docstring).  Budget exhaustion, or a
+    signed-sum level over the byte cap, returns the best witness found
+    with exact=False; exact results are optimal.
     """
     A = as_freqset(A)
     _check_magnitude(A)

@@ -202,6 +202,16 @@ def default_grid_size(degree: int) -> int:
     return 1 << (need - 1).bit_length()
 
 
+def _unit_scaled(a: np.ndarray) -> tuple:
+    """(a * 2^-e, e) for moduli a, the power of two bringing max a into [1, 2).
+
+    Powers of the scaled moduli neither overflow nor underflow at any
+    magnitude, and a largest modulus already in [1, 2) is left as it is.
+    """
+    e = int(np.frexp(a.max(initial=0.0))[1]) - 1
+    return np.ldexp(a, -e), e
+
+
 def fq_norm(f: TrigPolynomial, q: float) -> float:
     """Coefficient l_q norm (sum |c|^q)^(1/q); q = inf gives max |c|."""
     if not (q == math.inf or q >= 1.0):
@@ -209,9 +219,9 @@ def fq_norm(f: TrigPolynomial, q: float) -> float:
     a = np.abs(f.coeffs)
     if q == math.inf:
         return float(a.max(initial=0.0))
-    if q == 2.0:
-        return float(np.sqrt((a * a).sum()))
-    return float((a**q).sum() ** (1.0 / q))
+    a, e = _unit_scaled(a)
+    s = np.sqrt((a * a).sum()) if q == 2.0 else (a**q).sum() ** (1.0 / q)
+    return float(np.ldexp(s, e))
 
 
 def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
@@ -535,5 +545,5 @@ def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float
         raise DomainError(f"need finite q >= 1, got q={q}; the sup norm is the q = inf case")
     if M is None and float(q).is_integer() and int(q) % 2 == 0:
         M = max(default_grid_size(f.degree), 1 << (int(q) * f.degree).bit_length())
-    a = _grid_abs(f, M, 4)
-    return float(np.mean(a**q) ** (1.0 / q))
+    a, e = _unit_scaled(_grid_abs(f, M, 4))
+    return float(np.ldexp(np.mean(a**q) ** (1.0 / q), e))

@@ -88,10 +88,12 @@ CASES = {
         lambda s: 56 * 3**s,
         9,
     ),
-    "array_sums": (
-        lambda s: quasi._ArraySums(np.arange(s, dtype=np.int64)).extend(10 * s),
-        lambda s: 56 * 3 * s,
-        1000,
+    # the right half's last level charges its new sums and the kept left
+    # half's 12 bytes per sum; the collision test that follows charges less
+    "is_quasi_independent": (
+        lambda s: quasi.is_quasi_independent(tuple(3**i for i in range(s))),
+        lambda s: 12 * 3 ** (s // 2) + 56 * 3 ** (s - s // 2),
+        17,
     ),
     "generate_interval": (lambda N: generate("interval", N), lambda N: 56 * N, 1000),
     "generate_random": (lambda N: generate("random", N, density=0.5, seed=1), lambda N: 56 * N, 1000),
@@ -115,6 +117,21 @@ def test_byte_cap_admits_its_estimate_and_raises_one_size_above(monkeypatch, sit
     err, peak = _traced_peak(lambda: call(size + 1))
     assert isinstance(err, ResourceLimitError) and f"over the {cap}-byte cap" in str(err)
     assert peak <= cap
+
+
+def test_checker_calls_stay_within_any_cap(monkeypatch):
+    # the kept left half and the collision temporaries are charged too, so
+    # each call either raises before allocating or keeps within the cap
+    powers = tuple(3**i for i in range(18))
+    quasi.is_quasi_independent(powers[:4])
+    answered = 0
+    for cap in (56 * 3**8, 1 << 20, 56 * 3**9):
+        monkeypatch.setattr(errors, "_BYTES_CAP", cap)
+        for size in (15, 16, 17, 18):
+            out, peak = _traced_peak(lambda: quasi.is_quasi_independent(powers[:size]))
+            assert peak <= cap, (cap, size)
+            answered += out == (True, None)
+    assert answered == 4
 
 
 def test_refinement_rounds_charge_their_arrays_before_allocating(monkeypatch):

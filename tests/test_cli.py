@@ -81,6 +81,19 @@ def test_norm_sup_at_huge_coefficients(capsys, monkeypatch):
     assert run_json(capsys, "norm", "sup", "-")["sup_norm"] == 2e200
 
 
+@pytest.mark.parametrize(
+    "verb, q, scale",
+    [("fq", "2", 1e200), ("lq", "3", 1e200), ("fq", "3", 1e-200), ("lq", "4", 1e-100)],
+)
+def test_norm_fq_lq_at_extreme_coefficients(capsys, monkeypatch, verb, q, scale):
+    # powers of unscaled moduli overflow to Infinity or underflow to 0.0
+    key = f"{verb}_norm" if verb == "fq" else "lq_function_norm"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[0, 1, 0], [3, 1, 0]]"))
+    unit = run_json(capsys, "norm", verb, "-", "--q", q)[key]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([[0, scale, 0], [3, scale, 0]])))
+    assert run_json(capsys, "norm", verb, "-", "--q", q)[key] == pytest.approx(scale * unit, rel=1e-15)
+
+
 def test_norm_fq_lorentz_lq(capsys, poly_file):
     path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0]])
     obj = run_json(capsys, "norm", "fq", path, "--q", "2")

@@ -161,7 +161,7 @@ def test_bitset_and_array_search_agree_with_the_oracle():
     for A in _signed_sets(rng, 60, 8, 15):
         scaled = [ARRAY_SCALE * g for g in A]
         assert isinstance(quasi._empty_sums(A), quasi._BitSums)
-        assert isinstance(quasi._empty_sums(scaled), quasi._ArraySums)
+        assert isinstance(quasi._empty_sums(scaled), quasi._CheckedSums)
         res = max_quasi_independent(A)
         res_scaled = max_quasi_independent(scaled)
         assert res.exact and res_scaled.exact
@@ -225,7 +225,9 @@ def _traced_peak(fn):
 def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
     rng = np.random.default_rng(45)
     B = sorted(int(g) for g in rng.choice(10**9 - 1, 20, replace=False) + 1)
-    A = [ARRAY_SCALE * g for g in B[:12]]
+    # 17 members already take a checker call past both caps; each more
+    # multiplies the capped search's nodes by about six (154 at 18)
+    A = [ARRAY_SCALE * g for g in B[:18]]
     # numpy allocates some state once, on its first calls
     is_quasi_independent(B[:4])
     max_quasi_independent(A[:3])
@@ -242,3 +244,27 @@ def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
         assert not res.exact and 0 < res.q_value < len(A) and peak <= cap
         assert is_quasi_independent(res.witness)[0]
 
+
+def test_lacunary_search_past_the_bitset_is_exact(monkeypatch):
+    # each member tops the signed sums of the smaller ones, so every node
+    # takes the next member and the search ends after 13 nodes
+    A = [ARRAY_SCALE * 3**k for k in range(1, 13)]
+    monkeypatch.setattr(errors, "_BYTES_CAP", 1 << 20)
+    res, peak = _traced_peak(lambda: max_quasi_independent(A))
+    assert (res.q_value, res.exact, res.nodes_explored) == (12, True, 13)
+    assert res.witness == tuple(A) and peak <= 1 << 20
+
+
+def test_partition_of_large_members_answers_under_a_small_cap(monkeypatch):
+    rng = np.random.default_rng(46)
+    A = [int(g) for g in rng.choice(10**12 - 1, 150, replace=False) + 1]
+    monkeypatch.setattr(errors, "_BYTES_CAP", 4 << 20)
+    res, peak = _traced_peak(lambda: partition_lemma(A, 1.0, 0.5))
+    assert isinstance(res, quasi.PartitionResult) and peak <= 4 << 20
+    lo, hi = res.window
+    assert res.covered >= len(A) / 2 and set(res.modes) == {"greedy"}
+    seen = set()
+    for B in res.subsets:
+        assert lo <= len(B) <= hi and not seen & set(B)
+        seen |= set(B)
+        assert is_quasi_independent(B)[0]
