@@ -14,7 +14,9 @@ chosen set exactly when gamma is not one of its achievable signed sums, and
 sum |A| < 2^24 the search state is those sums as a Python-int bitset (one
 bit probe per membership test, three shifts per extension); above that it
 is the chosen members alone, and the checker answers each membership test
-on chosen + {gamma}, holding 3^(k/2) sums per half instead of 3^k.
+on chosen + {gamma}, holding 3^(k/2) sums per half instead of 3^k.  The
+node budget, the checker's 40-member limit or the byte cap ends the search;
+the result keeps the largest set it certified, with exact=False.
 
 Every array level of signed sums (a half enumeration step, the collision
 test) checks its bytes, with those of the arrays it keeps alive, against
@@ -83,8 +85,9 @@ def as_freqset(elements) -> tuple:
 class QiSearchResult:
     """Outcome of max_quasi_independent.
 
-    exact means the search ran to completion, certifying optimality;
-    budget exhaustion downgrades to exact=False with the best witness.
+    exact means the search ran to completion, certifying optimality; the
+    node budget, the checker's 40-member limit or the byte cap ends it
+    early, keeping the largest set it certified, with exact=False.
     """
 
     q_value: int
@@ -250,10 +253,6 @@ def _empty_sums(elements):
     return _BitSums() if sum(abs(g) for g in elements) < _BITSET_SUM_LIMIT else _CheckedSums()
 
 
-class _Budget(Exception):
-    pass
-
-
 def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     """Largest quasi-independent subset of A by branch-and-bound.
 
@@ -264,9 +263,9 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     candidates are filtered monotonically and |chosen| + |candidates|
     prunes against the best known size.  Each node tests its candidates
     on a bitset of signed sums when sum |A| < 2^24 and with the checker
-    above that (see the module docstring).  Budget exhaustion, or a
-    signed-sum level over the byte cap, returns the best witness found
-    with exact=False; exact results are optimal.
+    above that (see the module docstring).  The node budget, the checker's
+    40-member limit or the byte cap ends the search; the result keeps the
+    largest set it certified, with exact=False.  Exact results are optimal.
     """
     A = as_freqset(A)
     _check_magnitude(A)
@@ -277,30 +276,28 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     order = sorted(A, key=abs, reverse=True)
     best: list = []
     nodes = 0
-    exhausted = False
 
     def visit(chosen: list, sums, candidates: list) -> None:
-        nonlocal best, nodes, exhausted
+        nonlocal best, nodes
         nodes += 1
         if nodes > budget:
-            raise _Budget()
-        addable = sums.addable(candidates)
+            raise ResourceLimitError(f"search budget of {budget} nodes exhausted")
         if len(chosen) > len(best):
             best = list(chosen)
+        addable = sums.addable(candidates)
         # taking addable[i] leaves room for at most room - i elements
         room = len(chosen) + len(addable)
         for i, g in enumerate(addable):
             if room - i <= len(best):
                 break
-            try:
-                visit(chosen + [g], sums.extend(g), addable[i + 1 :])
-            except ResourceLimitError:
-                exhausted = True
+            visit(chosen + [g], sums.extend(g), addable[i + 1 :])
 
+    # past the budget no node, and past the 40-member limit no larger set, is certified; the
+    # byte cap prices distinct sums, so a set whose sums collide might still have passed it
     try:
         visit([], _empty_sums(A), order)
-        exact = not exhausted
-    except _Budget:
+        exact = True
+    except ResourceLimitError:
         exact = False
     return QiSearchResult(
         q_value=len(best),
@@ -330,11 +327,13 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     Loop of the underlying proof: extract a maximum quasi-independent
     subset of the remainder (exact when the remainder has at most 25
     elements, greedy above that), trim it to at most floor(c |A|^eps)
-    elements, and stop once the union covers at least |A|/2.  Every
-    returned subset has size in [c/2 |A|^eps, c |A|^eps]; a smaller
-    extraction means A violates the size hypothesis at these (c, epsilon)
-    and raises ExtractionError carrying the offending remainder.  Like the
-    checker and the search, it needs sum |A| < 2^62.
+    elements, and stop once the union covers at least |A|/2.  Mode
+    "budget" marks a search that the node budget, the checker's 40-member
+    limit or the byte cap ended early.  Every returned subset has size in
+    [c/2 |A|^eps, c |A|^eps]; a smaller extraction means A violates the
+    size hypothesis at these (c, epsilon) and raises ExtractionError
+    carrying the offending remainder.  Like the checker and the search, it
+    needs sum |A| < 2^62.
     """
     A = as_freqset(A)
     _check_magnitude(A)

@@ -112,6 +112,14 @@ def test_max_quasi_independent_budget_downgrade():
     assert res.nodes_explored >= 3
     ok, _ = is_quasi_independent(res.witness)
     assert ok
+    # bit-exact pins: the budget stops the search on the node past it
+    for budget, pinned in [
+        (3, (2, (11, 12), False, 4)),
+        (50, (4, (8, 10, 11, 12), False, 51)),
+        (500, (4, (8, 10, 11, 12), True, 215)),
+    ]:
+        res = max_quasi_independent(list(range(1, 13)), budget=budget)
+        assert (res.q_value, res.witness, res.exact, res.nodes_explored) == pinned
     with pytest.raises(DomainError):
         max_quasi_independent([1, 2], budget=0)
 
@@ -225,9 +233,9 @@ def _traced_peak(fn):
 def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
     rng = np.random.default_rng(45)
     B = sorted(int(g) for g in rng.choice(10**9 - 1, 20, replace=False) + 1)
-    # 17 members already take a checker call past both caps; each more
-    # multiplies the capped search's nodes by about six (154 at 18)
-    A = [ARRAY_SCALE * g for g in B[:18]]
+    # 17 members already take a checker call past both caps, so the search
+    # stops at its first refused check, on the node that holds 16 members
+    A = [ARRAY_SCALE * g for g in B]
     # numpy allocates some state once, on its first calls
     is_quasi_independent(B[:4])
     max_quasi_independent(A[:3])
@@ -239,10 +247,19 @@ def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
         assert isinstance(out, ResourceLimitError) and peak <= cap
         out, peak = _traced_peak(lambda: quasi._greedy_extract(tuple(A), len(A)))
         assert isinstance(out, ResourceLimitError) and peak <= cap
-        # the search treats a capped branch like an exhausted budget
+        # the search treats a capped check like an exhausted budget
         res, peak = _traced_peak(lambda: max_quasi_independent(A))
-        assert not res.exact and 0 < res.q_value < len(A) and peak <= cap
-        assert is_quasi_independent(res.witness)[0]
+        assert (res.q_value, res.exact, res.nodes_explored) == (16, False, 17)
+        assert peak <= cap and is_quasi_independent(res.witness)[0]
+
+
+def test_search_stops_at_the_checker_size_limit(monkeypatch):
+    # the 13th member needs a 13-member check, which the lowered limit
+    # refuses, so the search ends on its first descent
+    monkeypatch.setattr(quasi, "_CHECK_SIZE_CAP", 12)
+    res = max_quasi_independent([2**k for k in range(1, 31)], budget=1000)
+    assert (res.q_value, res.exact, res.nodes_explored) == (12, False, 13)
+    assert res.witness == tuple(2**k for k in range(19, 31))
 
 
 def test_lacunary_search_past_the_bitset_is_exact(monkeypatch):
