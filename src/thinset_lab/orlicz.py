@@ -258,7 +258,11 @@ def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) 
     if not p_conj > 0.0:
         raise DomainError(f"need p_conj > 0, got {p_conj}")
     a = _grid_abs(f, M, 16)
-    return float(np.mean(_log_type(a, p_conj)))
+    with np.errstate(over="ignore"):
+        value = float(np.mean(_log_type(a, p_conj)))
+    if not math.isfinite(value):
+        raise DomainError(f"the log_type functional at r={p_conj} lies past the float64 range")
+    return value
 
 
 def psi_norm_of_constant(c: float, r: float) -> float:

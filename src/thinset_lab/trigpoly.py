@@ -202,26 +202,25 @@ def default_grid_size(degree: int) -> int:
     return 1 << (need - 1).bit_length()
 
 
-def _unit_scaled(a: np.ndarray) -> tuple:
-    """(a * 2^-e, e) for moduli a, the power of two bringing max a into [1, 2).
+def _scaled_norm(a: np.ndarray, norm) -> float:
+    """max(a) * norm(a / max(a)) for moduli a and a positively homogeneous norm.
 
-    Powers of the scaled moduli neither overflow nor underflow at any
-    magnitude, and a largest modulus already in [1, 2) is left as it is.
+    Every entry of a / max(a) lies in [0, 1], so no power of it overflows,
+    whatever the exponent.  Raises DomainError when the norm is not a
+    finite float64.
     """
-    e = int(np.frexp(a.max(initial=0.0))[1]) - 1
-    return np.ldexp(a, -e), e
+    top = float(a.max(initial=0.0))
+    value = top * float(norm(a / top)) if top else 0.0
+    if not math.isfinite(value):
+        raise DomainError(f"the norm of moduli up to {top:g} lies past the float64 range")
+    return value
 
 
 def fq_norm(f: TrigPolynomial, q: float) -> float:
     """Coefficient l_q norm (sum |c|^q)^(1/q); q = inf gives max |c|."""
     if not (q == math.inf or q >= 1.0):
         raise DomainError(f"need q >= 1, got q={q}")
-    a = np.abs(f.coeffs)
-    if q == math.inf:
-        return float(a.max(initial=0.0))
-    a, e = _unit_scaled(a)
-    s = np.sqrt((a * a).sum()) if q == 2.0 else (a**q).sum() ** (1.0 / q)
-    return float(np.ldexp(s, e))
+    return _scaled_norm(np.abs(f.coeffs), lambda u: (u**q).sum() ** (1.0 / q))
 
 
 def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
@@ -234,8 +233,8 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
         raise DomainError(f"need q in (1,2), got q={q}")
     a = np.sort(np.abs(f.coeffs))[::-1]
     n = np.arange(1, a.size + 1, dtype=np.float64)
-    l_q1 = float((a / n ** (1.0 / conjugate(q))).sum())
-    l_qinf = float((n ** (1.0 / q) * a).max(initial=0.0))
+    l_q1 = _scaled_norm(a, lambda u: (u / n ** (1.0 / conjugate(q))).sum())
+    l_qinf = _scaled_norm(a, lambda u: (n ** (1.0 / q) * u).max(initial=0.0))
     return (l_q1, l_qinf)
 
 
@@ -419,7 +418,8 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     every coefficient magnitude whose sup is a finite float64, subnormal
     rows included, where the squared moduli of unscaled rows would overflow
     above about 1e154 or underflow below about 1e-154; rows already in range
-    get the same S bit for bit.
+    get the same S bit for bit.  A block with an S past float64 raises
+    DomainError.
 
     |f| does not change when f is multiplied by exp(-i c t), so the
     spectrum is first shifted by its centre c = (min + max) // 2.  The
@@ -521,7 +521,10 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
             seeds = np.divmod(at, M)
             del g, at  # the refinement charges the kept samples, not the grid
             _refine(freqs, scaled, M, deg, rel_tol, best[lo:hi], *seeds)
-        best[lo:hi] = np.ldexp(np.sqrt(best[lo:hi]), e)
+        with np.errstate(over="ignore"):
+            best[lo:hi] = np.ldexp(np.sqrt(best[lo:hi]), e)
+        if not np.isfinite(best[lo:hi]).all():
+            raise DomainError("a sup norm lies past the float64 range")
     return best
 
 
@@ -545,5 +548,4 @@ def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float
         raise DomainError(f"need finite q >= 1, got q={q}; the sup norm is the q = inf case")
     if M is None and float(q).is_integer() and int(q) % 2 == 0:
         M = max(default_grid_size(f.degree), 1 << (int(q) * f.degree).bit_length())
-    a, e = _unit_scaled(_grid_abs(f, M, 4))
-    return float(np.ldexp(np.mean(a**q) ** (1.0 / q), e))
+    return _scaled_norm(_grid_abs(f, M, 4), lambda u: np.mean(u**q) ** (1.0 / q))

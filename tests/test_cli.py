@@ -94,6 +94,17 @@ def test_norm_fq_lq_at_extreme_coefficients(capsys, monkeypatch, verb, q, scale)
     assert run_json(capsys, "norm", verb, "-", "--q", q)[key] == pytest.approx(scale * unit, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "verb, key, want, rel",
+    [("fq", "fq_norm", 7.0710678118714254, 1e-15), ("lq", "lq_function_norm", 14.042768751074783, 1e-12)],
+)
+def test_norm_fq_lq_at_large_q(capsys, monkeypatch, verb, key, want, rel):
+    # a largest modulus scaled into [1, 2) printed Infinity at q = 2000; fq's
+    # value is from a 60-digit oracle, lq's lies below the sup 14.0710678...
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[1, 1, 7], [2, 0, 7]]"))
+    assert run_json(capsys, "norm", verb, "-", "--q", "2000")[key] == pytest.approx(want, rel=rel)
+
+
 def test_norm_fq_lorentz_lq(capsys, poly_file):
     path = poly_file([[1, 1.0, 0.0], [2, 1.0, 0.0]])
     obj = run_json(capsys, "norm", "fq", path, "--q", "2")
@@ -462,6 +473,10 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
     assert "rel_tol" in assert_one_line_exit_2(capsys, "norm", "sup", path, "--rel-tol", "1e-300")
 
 
+# three coefficients of 1e308: their sum, and so the sup and the l_1 norm, lies past float64
+_PAST_FLOAT64 = "[[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 0]]"
+
+
 @pytest.mark.parametrize(
     "argv, stdin, needle",
     [
@@ -474,6 +489,11 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         (["norm", "orlicz", "-", "--family", "psi", "--r", "1e20"], "[[1, 1.0, 0.0], [2, 1.0, 0.0]]", "too large"),
         (["norm", "orlicz", "-", "--family", "psi", "--r", "2.1e12"], "[[1, 1.0, 0.0], [2, 1.0, 0.0]]", "too large"),
         (["norm", "stable", "-", "--kind", "p_stable", "--trials", "8"], "[[1, 1.0, 0.0]]", "needs --p"),
+        (["norm", "sup", "-"], _PAST_FLOAT64, "float64"),
+        (["norm", "fq", "-", "--q", "1"], _PAST_FLOAT64, "float64"),
+        (["norm", "lorentz", "-", "--q", "1.5"], _PAST_FLOAT64, "float64"),
+        (["norm", "orlicz", "-", "--family", "phi", "--r", "1e-3", "--functional"], "[[1, 1, 0], [3, 1, 0]]", "float64"),
+        (["norm", "orlicz", "-", "--family", "phi", "--r", "5e-324", "--functional"], "[[1, 1, 0], [3, 1, 0]]", "float64"),
     ],
     ids=[
         "mesh_huge_member",
@@ -485,12 +505,18 @@ def test_norm_sup_rel_tol_below_float_resolution_exits_2(capsys, poly_file):
         "orlicz_huge_r",
         "orlicz_r_past_the_rounding_limit",
         "stable_without_p",
+        "sup_past_float64",
+        "fq_past_float64",
+        "lorentz_past_float64",
+        "phi_functional_tiny_r",
+        "phi_functional_subnormal_r",
     ],
 )
 def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
     # each of these once escaped as an OverflowError or ZeroDivisionError, or
     # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning,
-    # or (psi past r = 2e12) failed with a math domain error;
+    # or (psi past r = 2e12) failed with a math domain error, or (the
+    # norms past float64) printed Infinity with an overflow warning;
     # a p-stable driver without --p has no p to take
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert needle in assert_one_line_exit_2(capsys, *argv)

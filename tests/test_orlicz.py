@@ -163,6 +163,13 @@ def test_log_type_functional_constant():
         log_type_functional(f, 0.0)
 
 
+@pytest.mark.parametrize("r", [1e-3, 5e-324])
+def test_log_type_functional_past_float64_raises(r):
+    # the grid mean is about 1e322 at r = 1e-3; at 5e-324 already log1p(log1p(x)) / r overflows
+    with pytest.raises(DomainError, match="float64"):
+        log_type_functional(TrigPolynomial({1: 1.0, 3: 1.0}), r)
+
+
 def _bisection_oracle(v, phi):
     """The Luxemburg bisection that evaluates every midpoint, as
     _luxemburg_of_samples computed it before its root search: (value,

@@ -1,5 +1,6 @@
 """Polynomial data model, norms, grid evaluation, sup and L^q norms."""
 
+import decimal
 import math
 import re
 import time
@@ -137,6 +138,35 @@ def test_fq_norm_decreasing_in_q():
         vals = [fq_norm(f, q) for q in qs]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
+        assert vals[-1] == np.abs(f.coeffs).max()
+
+
+@pytest.mark.parametrize("q", [2000.0, 1e6])
+def test_fq_norm_at_large_q_matches_a_decimal_oracle(q):
+    # a largest modulus scaled into [1, 2) overflowed a**q once q*log2(a) > 1024
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = 60, 10**8
+        want = float(((D(50).sqrt() ** D(q) + D(7) ** D(q)).ln() / D(q)).exp())
+    assert math.isclose(fq_norm(TrigPolynomial({1: 1 + 7j, 2: 7j}), q), want, rel_tol=1e-15)
+
+
+def test_lq_function_norm_at_large_q_stays_below_the_sup():
+    f = TrigPolynomial({1: 1 + 7j, 2: 7j})
+    value = lq_function_norm(f, 2000.0)
+    assert math.isfinite(value)
+    assert lq_function_norm(f, 1000.0) <= value <= sup_norm(f) * (1.0 + 1e-9)
+
+
+def test_coefficient_norms_past_float64_raise():
+    f = TrigPolynomial({0: 1e308, 1: 1e308, 2: 1e308})
+    with pytest.raises(DomainError, match="float64"):
+        fq_norm(f, 1.0)
+    for q in (1.2, 1.5, 1.8):
+        with pytest.raises(DomainError, match="float64"):
+            lorentz_norms(f, q)
+    # the largest modulus alone is still in range
+    assert fq_norm(f, math.inf) == 1e308
 
 
 def test_lorentz_single_coefficient_and_ordering():
@@ -225,6 +255,13 @@ def test_dense_grids_over_the_byte_cap_raise_before_allocating():
 
 
 # --- sup norm ---------------------------------------------------------------
+
+
+def test_sup_norm_past_float64_raises():
+    # 3e308 has no float64; a row just inside the range keeps its S
+    with pytest.raises(DomainError, match="float64"):
+        sup_norm(TrigPolynomial({0: 1e308, 1: 1e308, 2: 1e308}))
+    assert sup_norm(TrigPolynomial({0: 8e307, 1: 8e307})) == 1.6e308
 
 
 def test_sup_norm_exact_cases():
