@@ -149,6 +149,11 @@ def fit_mesh_exponent(counts, checkpoints, model: str) -> tuple:
     return (float(coef[0]), float(np.sqrt(np.mean(resid**2))))
 
 
+def _charge_counts(n: int) -> None:
+    """Charge r_alpha's counts array up to n and the next round's, 16 bytes per entry."""
+    _check_bytes(16 * (n + 1), f"representation counts of length {n + 1}")
+
+
 def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     """Exact ordered representation counts of the set's alpha-fold sums.
 
@@ -175,7 +180,7 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     k = len(freqs)
     if (k > 1 and alpha >= 62) or k**alpha >= 1 << 62:
         raise ResourceLimitError("k^alpha too large for exact int64 counts")
-    _check_bytes(16 * (n + 1), f"representation counts of length {n + 1}")
+    _charge_counts(n)
     counts = np.zeros(n + 1, dtype=np.int64)
     if k == 1:
         # {g} has the one alpha-fold sum alpha*g, whatever alpha is

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .examples_sets import generate, fit_mesh_exponent, mesh_counts, r_alpha
+from .examples_sets import _charge_counts, generate, fit_mesh_exponent, mesh_counts, r_alpha
 from .exponents import conjugate, derive_exponents, invert_for_q
 from .orlicz import psi_set_norm
 from .quasi import is_quasi_independent, max_quasi_independent, partition_lemma
@@ -364,6 +364,11 @@ def _run_e11(cfg: dict, streams: itertools.count) -> list:
         A = generate("powers", 2**k, base=2)
         n = alpha * (2**k)
         rc = r_alpha(A, alpha, n)
+        if k == cfg["k_min"]:
+            # alpha passed r_alpha's checks; refuse a k_max whose counts are
+            # over the byte cap before the larger k run (62 stands in for any
+            # k_max past it, which is over the cap too)
+            _charge_counts(alpha * 2 ** min(cfg["k_max"], 62))
         total_ok = sum(rc.counts) == len(A) ** alpha
         ratio = rc.mean_square / (n**growth * math.log(n) ** (2 * alpha))
         checks.append(CheckResult(f"ralpha_ratio_k{k}", ratio, rc.mean_square, total_ok))

@@ -227,19 +227,24 @@ def luxemburg_norm(f: TrigPolynomial, phi: OrliczFunction, M: int | None = None)
     """Luxemburg norm inf{t > 0 : grid mean of phi(|f|/t) <= 1}.
 
     Explicit M must be at least 16*(degree+1); without it the grid doubles
-    adaptively.  Empty polynomial gives 0.
+    adaptively.  Empty polynomial gives 0.  The norm is homogeneous, so it
+    is taken on the grid of f 2^-e (_grid_abs) and scaled back by 2^e; a
+    norm past float64 raises DomainError.
     """
-    if M is not None:
-        return _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
-    M = default_grid_size(f.degree)
-    prev = _luxemburg_of_samples(_grid_abs(f, M, 16), phi)
-    while M < _ADAPTIVE_GRID_CAP:
-        M *= 2
-        cur = _luxemburg_of_samples(_grid_abs(f, M, 16), phi, guess=prev)
-        if abs(cur - prev) <= _ADAPTIVE_REL_TOL * max(cur, prev):
-            return cur
-        prev = cur
-    return prev
+    a, e = _grid_abs(f, M, 16)
+    value = _luxemburg_of_samples(a, phi)
+    del a  # no two grids are held at once
+    if M is None:
+        M = default_grid_size(f.degree)
+        while M < _ADAPTIVE_GRID_CAP:
+            M *= 2
+            prev, value = value, _luxemburg_of_samples(_grid_abs(f, M, 16)[0], phi, guess=value)
+            if abs(value - prev) <= _ADAPTIVE_REL_TOL * max(value, prev):
+                break
+    value *= 2.0**e
+    if not math.isfinite(value):
+        raise DomainError(f"the {phi.family} Luxemburg norm at r={phi.r} lies past the float64 range")
+    return value
 
 
 def psi_set_norm(A, r: float) -> float:
@@ -257,9 +262,9 @@ def log_type_functional(f: TrigPolynomial, p_conj: float, M: int | None = None) 
     p_conj = float(p_conj)
     if not p_conj > 0.0:
         raise DomainError(f"need p_conj > 0, got {p_conj}")
-    a = _grid_abs(f, M, 16)
+    a, e = _grid_abs(f, M, 16)
     with np.errstate(over="ignore"):
-        value = float(np.mean(_log_type(a, p_conj)))
+        value = float(np.mean(_log_type(np.ldexp(a, e), p_conj)))
     if not math.isfinite(value):
         raise DomainError(f"the log_type functional at r={p_conj} lies past the float64 range")
     return value

@@ -343,7 +343,7 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
         raise DomainError("partition_lemma is undefined for A = {0}")
     try:
         hi_real = c * len(A) ** epsilon
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a huge power, or 0 to a negative one
         hi_real = math.inf
     if not 2.0 <= hi_real < math.inf:
         raise DomainError(f"need finite c*|A|^epsilon >= 2, got {hi_real}")

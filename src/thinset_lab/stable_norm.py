@@ -98,26 +98,33 @@ def estimate_bracket(
         raise DomainError(f"need 1 <= groups <= trials, got groups={groups}")
 
     n = len(f)
+    # the driver rows and draws, or the empty polynomial's `trials` zero sups
+    _check_bytes(16 * trials * max(n, 1) + _draw_bytes(trials * n), f"{trials} x {n} driver rows")
     if n == 0:
         sups = np.zeros(trials)
     else:
-        _check_bytes(16 * trials * n + _draw_bytes(trials * n), f"{trials} x {n} driver rows")
         z = sample_driver(d, trials * n).reshape(trials, n)
-        # complex draws take the coefficients in place; real signs need a complex copy
-        rows = z * f.coeffs if d.kind == "rademacher" else np.multiply(z, f.coeffs, out=z)
+        # complex draws take the coefficients in place; real signs need a complex copy.
+        # A product past float64 is refused by sup_norm_rows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = z * f.coeffs if d.kind == "rademacher" else np.multiply(z, f.coeffs, out=z)
         sups = sup_norm_rows(f.freqs, rows, SUP_REL_TOL)
 
+    # aggregate the sups scaled by 2^-e, below 1, so no sum overflows; the
+    # scaling is exact, so an in-range aggregate keeps every bit
+    e = int(np.frexp(sups.max())[1])
+    sups = np.ldexp(sups, -e)
     mom, means = median_of_means(sups, groups)
     heavy = d.kind == "p_stable" and d.p < 2.0
     value = mom if heavy else float(sups.mean())
     spread = float(np.percentile(means, 75) - np.percentile(means, 25))
     return NormEstimate(
-        value=value,
+        value=math.ldexp(value, e),
         trials=trials,
         groups=groups,
-        spread=spread,
+        spread=math.ldexp(spread, e),
         grid_tol=SUP_REL_TOL,
-        group_means=tuple(float(m) for m in means),
+        group_means=tuple(math.ldexp(float(m), e) for m in means),
         kind=d.kind,
         p=d.p,
         seed=d.seed,

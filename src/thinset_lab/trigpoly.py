@@ -2,17 +2,18 @@
 
 A polynomial is a finite sum f(t) = sum_g c_g exp(i g t) with nonzero complex
 coefficients keyed by signed 64-bit frequencies.  The module provides the
-coefficient-side norms (l_q, Lorentz), grid evaluation (one inverse FFT,
-frequencies placed by their residue mod M), a certified sup-norm estimator,
-and L^q function norms by quadrature.  The sup norm grids a sparse spectrum
-by a rank-n twiddle product and a dense one by the FFT; ``evaluate_grid``
-and the quadratures always take the FFT.  It then refines the near-maximal
-grid samples by bisection of disjoint cells, one centred at each kept
-sample: each cell carries its n term values c_g exp(i g t) at its centre
-and steps them to its two halves' centres by one complex multiply per term,
-so no round evaluates an exponential per term and point, and no point is
-evaluated twice.  Every dense grid and every refinement round is checked
-against the package byte cap before it is allocated.
+coefficient-side norms (l_q, Lorentz), grid evaluation (frequencies placed
+by their residue mod M), a certified sup-norm estimator, and L^q function
+norms by quadrature.  Every grid, of the sup norm or of ``evaluate_grid``
+and the quadratures, takes one kernel rule: a rank-n twiddle product for a
+sparse spectrum on a power-of-two grid, the inverse FFT otherwise.  The
+sup norm then refines the near-maximal grid samples by bisection of
+disjoint cells, one centred at each kept sample: each cell carries its n
+term values c_g exp(i g t) at its centre and steps them to its two halves'
+centres by one complex multiply per term, so no round evaluates an
+exponential per term and point, and no point is evaluated twice.  Every
+grid and every refinement round is checked against the package byte cap
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -38,21 +39,23 @@ __all__ = [
 _FREQ_LIMIT = 2**62  # headroom below int64 so sums of a few frequencies stay exact
 # bytes charged per grid point of one row, or of one block of sup rows, so the
 # cap allows M = 2^24, eight times the 2^21-point grid of a degree-2^16
-# polynomial.  tracemalloc peaks per point (numpy 2.4): 32 for evaluate_grid
-# at M = 2^20; for the sup norm, grid stage and one refinement round, 12 for
-# one product row (14 lacunary terms at M = 2^18), 36 for one FFT row (80
-# terms at M = 2^15) and 34 for a 2^21-point block of FFT rows.  The
-# refinement rounds charge their own arrays
+# polynomial.  tracemalloc peaks per point (numpy 2.4): for evaluate_grid,
+# 16-24 on the product kernel (2 to 80 terms at M = 2^16 to 2^20) and 32 on
+# the FFT kernel (80 terms at M = 2^15, 100 at 2^20); for the sup norm, grid
+# stage and one refinement round, 12 for one product row (14 lacunary terms
+# at M = 2^18), 36 for one FFT row (80 terms at M = 2^15) and 34 for a
+# 2^21-point block of FFT rows.  The refinement rounds charge their own arrays
 _BYTES_PER_GRID_POINT = 64
 # smallest certified relative tolerance of the sup norm, a few float64 ulps
 _REL_TOL_FLOOR = 1e-15
-# sup_norm_rows grids n terms on M points by the twiddle product when
-# n <= _PRODUCT_TERMS_PER_LOG2 * log2(M), by the FFT otherwise.  Measured on a
-# 2-vCPU x86-64 host (numpy 2.4, OpenBLAS 0.3.31), grid stage only: the two
-# break even near n = 56 at M = 2^10, 75 at 2^12, 115 at 2^14, 190 at 2^16
-# and above 256 at 2^18; at n = 16 the product is 1.5x faster at M = 2^10
-# and 4.3x at 2^19.  4*log2(M) stays below every crossover.  (Measured with one
-# exp per twiddle; the two-table roots of _unit_roots only cheapen the product.)
+# _grid_values grids n terms on M points by the twiddle product when M is a
+# power of two and n <= _PRODUCT_TERMS_PER_LOG2 * log2(M), by the FFT
+# otherwise.  Measured on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS 0.3.31),
+# grid stage only: the two break even near n = 56 at M = 2^10, 75 at 2^12,
+# 115 at 2^14, 190 at 2^16 and above 256 at 2^18; at n = 16 the product is
+# 1.5x faster at M = 2^10 and 4.3x at 2^19.  4*log2(M) stays below every
+# crossover.  (Measured with one exp per twiddle; the two-table roots of
+# _unit_roots only cheapen the product.)
 _PRODUCT_TERMS_PER_LOG2 = 4
 # grid points per block of rows in the sup norm's grid stage, both kernels
 _BLOCK_POINTS = 1 << 21
@@ -202,17 +205,18 @@ def default_grid_size(degree: int) -> int:
     return 1 << (need - 1).bit_length()
 
 
-def _scaled_norm(a: np.ndarray, norm) -> float:
-    """max(a) * norm(a / max(a)) for moduli a and a positively homogeneous norm.
+def _scaled_norm(a: np.ndarray, norm, e: int = 0) -> float:
+    """The norm of the moduli a * 2^e, as max(a) * norm(a / max(a)) * 2^e,
+    for a positively homogeneous norm.
 
     Every entry of a / max(a) lies in [0, 1], so no power of it overflows,
     whatever the exponent.  Raises DomainError when the norm is not a
     finite float64.
     """
     top = float(a.max(initial=0.0))
-    value = top * float(norm(a / top)) if top else 0.0
+    value = top * float(norm(a / top)) * 2.0**e if top else 0.0
     if not math.isfinite(value):
-        raise DomainError(f"the norm of moduli up to {top:g} lies past the float64 range")
+        raise DomainError(f"the norm of moduli up to 2^{math.frexp(top)[1] + e} lies past the float64 range")
     return value
 
 
@@ -239,15 +243,41 @@ def lorentz_norms(f: TrigPolynomial, q: float) -> tuple:
 
 
 def evaluate_grid(f: TrigPolynomial, M: int) -> np.ndarray:
-    """Values f(t_k) at t_k = 2 pi k / M, k = 0..M-1, by one inverse FFT.
+    """Values f(t_k) at t_k = 2 pi k / M, k = 0..M-1, by the kernel of _grid_values.
 
     Raises ResourceLimitError before allocating a grid over the byte cap.
     """
     M = int(M)
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
-    _check_bytes(_BYTES_PER_GRID_POINT * M, f"a {M}-point grid")
-    return _fft_values(f.freqs, f.coeffs[None, :], M)[0]
+    return _grid_values(f.freqs, f.coeffs[None, :], M)[0]
+
+
+def _grid_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+    """f_row(2 pi k / M), k = 0..M-1, for each of the B coefficient rows.
+
+    Charges the B*M-point grid against the byte cap, then takes the twiddle
+    product when M is a power of two and n <= 4*log2(M)
+    (_PRODUCT_TERMS_PER_LOG2), the inverse FFT otherwise.
+    """
+    B, n = rows.shape
+    _check_bytes(_BYTES_PER_GRID_POINT * M * B, f"{B} rows of a {M}-point grid")
+    product = M & (M - 1) == 0 and n <= _PRODUCT_TERMS_PER_LOG2 * (M.bit_length() - 1)
+    return (_product_values if product else _fft_values)(freqs, rows, M)
+
+
+def _pow2_scaled(rows: np.ndarray) -> tuple:
+    """(rows * 2^-e, e), with e per row the power of two that brings its
+    largest |c| into [1, 2) (np.frexp, applied with np.ldexp).
+
+    The scaling is exact, so it commutes with every product and sum of a
+    grid and changes no bit of an in-range result once scaled back.
+    """
+    e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1] - 1
+    scaled = np.empty_like(rows)
+    np.ldexp(rows.real, -e[:, None], out=scaled.real)
+    np.ldexp(rows.imag, -e[:, None], out=scaled.imag)
+    return scaled, e
 
 
 def _fft_values(freqs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
@@ -382,9 +412,12 @@ def _refine(freqs, rows, M, deg, rel_tol, best, row, k) -> None:
                 waiting += piece.shape[0]
 
 
-def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> np.ndarray:
-    """|f| on M grid points, default_grid_size(degree) when M is None.
+def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> tuple:
+    """(|f| 2^-e on M grid points, e), default_grid_size(degree) points when M is None.
 
+    e is the power of two that brings the largest |c| into [1, 2)
+    (_pow2_scaled), so no grid value overflows; f is evaluated as given
+    when e = 0, as for 0-1 indicators.
     An explicit M must be at least floor*(degree+1).
     """
     if M is None:
@@ -395,7 +428,11 @@ def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> np.ndarray:
             raise DomainError(
                 f"need M >= {floor}*(degree+1) = {floor * (f.degree + 1)}, got {M}"
             )
-    return np.abs(evaluate_grid(f, M))
+    scaled, e = _pow2_scaled(f.coeffs[None, :])
+    if e[0]:
+        f = TrigPolynomial(f)  # a new copy: the same spectrum, coefficients times 2^-e
+        f._coeffs = scaled[0]
+    return np.abs(evaluate_grid(f, M)), int(e[0])
 
 
 def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -412,14 +449,14 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
         S satisfies true sup in [S, S*(1+rel_tol)].
 
     Each row is estimated scaled by the power of two 2^-e that brings its
-    largest |c| into [1/2, 1) (np.frexp, applied with np.ldexp), and its
-    S is scaled back by 2^e.  A power-of-two scaling commutes with every
-    product, sum, square and square root below, so the certificate holds at
-    every coefficient magnitude whose sup is a finite float64, subnormal
-    rows included, where the squared moduli of unscaled rows would overflow
-    above about 1e154 or underflow below about 1e-154; rows already in range
-    get the same S bit for bit.  A block with an S past float64 raises
-    DomainError.
+    largest |c| into [1, 2) (_pow2_scaled), and its S is scaled back by
+    2^e.  A power-of-two scaling commutes with every product, sum, square
+    and square root below, so the certificate holds at every coefficient
+    magnitude whose sup is a finite float64, subnormal rows included, where
+    the squared moduli of unscaled rows would overflow above about 1e154 or
+    underflow below about 1e-154; rows already in range get the same S bit
+    for bit.  A row with a term that is not finite, or
+    a block with an S past float64, raises DomainError.
 
     |f| does not change when f is multiplied by exp(-i c t), so the
     spectrum is first shifted by its centre c = (min + max) // 2.  The
@@ -429,9 +466,10 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     modulus is within the curvature gap of its row maximum, then repeatedly
     bisects the cells of width h = 2 pi / M centred at the kept samples.
 
-    The grid stage has two kernels, chosen per call from n and M alone.  With
-    n <= 4*log2(M) terms (_PRODUCT_TERMS_PER_LOG2; the measured crossover
-    sits above that at every M) it writes k = k1 + K1*k2 with
+    The grid stage has the two kernels of _grid_values, chosen from n and M
+    alone (M is a power of two here).  With n <= 4*log2(M) terms
+    (_PRODUCT_TERMS_PER_LOG2; the measured crossover sits above that at
+    every M) it writes k = k1 + K1*k2 with
     K1 = 2^floor(log2(M)/2) and takes all samples of a block of rows as one
     (K2 x n) diag(c) (n x K1) matrix product, costing O(n M) per row.  Each
     twiddle is exp(2 pi i m / M) of an exact int64 index m = (g mod M)*k1
@@ -486,6 +524,8 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     if not (_REL_TOL_FLOOR <= rel_tol <= 0.1):
         raise DomainError(f"need rel_tol in [{_REL_TOL_FLOOR:g}, 0.1], got {rel_tol}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
+    if not np.isfinite(rows).all():
+        raise DomainError("a coefficient row holds a term that is not finite (past the float64 range?)")
     B, n = rows.shape
     if n == 0 or B == 0:
         return np.zeros(B)
@@ -495,21 +535,13 @@ def sup_norm_rows(freqs: np.ndarray, rows: np.ndarray, rel_tol: float) -> np.nda
     deg = int(max(-freqs[0], freqs[-1]))
     M = default_grid_size(deg)
     chunk = min(B, max(1, _BLOCK_POINTS // M))
-    _check_bytes(_BYTES_PER_GRID_POINT * M * chunk, f"{chunk} rows of a {M}-point grid")
 
     best = np.zeros(B)
     gap0 = _gap(deg, M, 0)
-    product = n <= _PRODUCT_TERMS_PER_LOG2 * (M.bit_length() - 1)
-    values = _product_values if product else _fft_values
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        block = rows[lo:hi]
-        # row i is scaled by 2^-e[i], which brings its largest |c| into [1/2, 1)
-        e = np.frexp(np.abs(block).max(axis=1))[1]
-        scaled = np.empty_like(block)
-        np.ldexp(block.real, -e[:, None], out=scaled.real)
-        np.ldexp(block.imag, -e[:, None], out=scaled.imag)
-        vals = values(freqs, scaled, M)
+        scaled, e = _pow2_scaled(rows[lo:hi])
+        vals = _grid_values(freqs, scaled, M)
         sq = vals.view(np.float64)
         np.square(sq, out=sq)
         g = sq[:, 0::2] + sq[:, 1::2]
@@ -548,4 +580,5 @@ def lq_function_norm(f: TrigPolynomial, q: float, M: int | None = None) -> float
         raise DomainError(f"need finite q >= 1, got q={q}; the sup norm is the q = inf case")
     if M is None and float(q).is_integer() and int(q) % 2 == 0:
         M = max(default_grid_size(f.degree), 1 << (int(q) * f.degree).bit_length())
-    return _scaled_norm(_grid_abs(f, M, 4), lambda u: np.mean(u**q) ** (1.0 / q))
+    a, e = _grid_abs(f, M, 4)
+    return _scaled_norm(a, lambda u: np.mean(u**q) ** (1.0 / q), e)

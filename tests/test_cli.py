@@ -494,6 +494,13 @@ _PAST_FLOAT64 = "[[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 0]]"
         (["norm", "lorentz", "-", "--q", "1.5"], _PAST_FLOAT64, "float64"),
         (["norm", "orlicz", "-", "--family", "phi", "--r", "1e-3", "--functional"], "[[1, 1, 0], [3, 1, 0]]", "float64"),
         (["norm", "orlicz", "-", "--family", "phi", "--r", "5e-324", "--functional"], "[[1, 1, 0], [3, 1, 0]]", "float64"),
+        (["norm", "orlicz", "-", "--family", "psi", "--r", "2"], _PAST_FLOAT64, "float64"),
+        (["norm", "orlicz", "-", "--family", "phi", "--r", "2"], _PAST_FLOAT64, "float64"),
+        (["norm", "orlicz", "-", "--family", "phi", "--r", "2", "--functional"], _PAST_FLOAT64, "float64"),
+        (["norm", "lq", "-", "--q", "4"], _PAST_FLOAT64, "float64"),
+        (["norm", "stable", "-", "--p", "1.5", "--trials", "10"], _PAST_FLOAT64, "not finite"),
+        (["qis", "partition", "-", "--c", "1", "--epsilon", "-1"], "[]", "finite"),
+        (["norm", "stable", "-", "--p", "1.5", "--trials", str(10**20)], "[]", "cap"),
     ],
     ids=[
         "mesh_huge_member",
@@ -510,20 +517,57 @@ _PAST_FLOAT64 = "[[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 0]]"
         "lorentz_past_float64",
         "phi_functional_tiny_r",
         "phi_functional_subnormal_r",
+        "psi_grid_past_float64",
+        "phi_grid_past_float64",
+        "phi_functional_grid_past_float64",
+        "lq_past_float64",
+        "stable_rows_past_float64",
+        "partition_empty_negative_epsilon",
+        "stable_empty_over_cap",
     ],
 )
 def test_overflowing_inputs_exit_2(capsys, monkeypatch, argv, stdin, needle):
-    # each of these once escaped as an OverflowError or ZeroDivisionError, or
+    # each of these once escaped as an OverflowError or ZeroDivisionError
+    # (partition on the empty set at a negative epsilon), or as a numpy
+    # ValueError (the zero sups of the empty polynomial at 10^20 trials), or
     # (phi at r = 1e-300) printed a norm of 1.8e16 with an overflow warning,
     # or (psi past r = 2e12) failed with a math domain error, or (the
-    # norms past float64) printed Infinity with an overflow warning;
-    # a p-stable driver without --p has no p to take
+    # norms past float64) printed Infinity with an overflow warning, or
+    # exited 2 only after one; a p-stable driver without --p has no p to take
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert needle in assert_one_line_exit_2(capsys, *argv)
 
 
-@pytest.mark.parametrize("exp_id, key, needle", [("E1", "n", "cap"), ("E3", "trials", "cap"), ("E11", "alpha", "too large")])
+@pytest.mark.parametrize(
+    "argv, stdin, key, want",
+    [
+        # sqrt(3)*1e308: the L^2 norm is finite though the sup, 3e308, is not
+        (["norm", "lq", "-", "--q", "2"], _PAST_FLOAT64, "lq_function_norm", math.sqrt(3.0) * 1e308),
+        # |f| is within 1e-288 of the constant 1.414e308, whose psi_7 norm is |c| (ln 2)^(-1/7)
+        (
+            ["norm", "orlicz", "-", "--family", "psi", "--r", "7"],
+            "[[4095, 1e20, 0], [0, 1e308, 1e308]]",
+            "luxemburg_norm",
+            math.hypot(1e308, 1e308) * math.log(2.0) ** (-1.0 / 7.0),
+        ),
+        # each sup is 1e308, so is their mean, though the sum of four is not finite
+        (["norm", "stable", "-", "--kind", "rademacher", "--trials", "4"], "[[1, 1e308, 0]]", "value", 1e308),
+    ],
+    ids=["lq_l2_of_huge_coefficients", "psi_near_the_float64_top", "stable_mean_of_huge_sups"],
+)
+def test_norms_near_the_top_of_float64_print_the_finite_value(capsys, monkeypatch, argv, stdin, key, want):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert math.isclose(json.loads(out)[key], want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "exp_id, key, needle",
+    [("E1", "n", "cap"), ("E3", "trials", "cap"), ("E11", "alpha", "too large"), ("E11", "k_max", "cap")],
+)
 def test_run_huge_counts_exit_2_before_allocating(capsys, tmp_path, exp_id, key, needle):
+    # E11's k_max is charged before the smaller k run, so this takes no time
     cfg = _write_config(tmp_path, exp_id, dict(REDUCED_CONFIGS[exp_id], **{key: 10**20}))
     assert needle in assert_one_line_exit_2(capsys, "run", exp_id, "--config", cfg)
 

@@ -170,6 +170,24 @@ def test_log_type_functional_past_float64_raises(r):
         log_type_functional(TrigPolynomial({1: 1.0, 3: 1.0}), r)
 
 
+def test_luxemburg_norm_near_the_top_of_float64():
+    # |f| is within 1e-288 relative of the constant |1e308 + 1e308i| = 1.414e308:
+    # a finite grid whose unscaled bisection midpoint (lo + hi) / 2 overflowed
+    f = TrigPolynomial({4095: 1e20, 0: 1e308 + 1e308j})
+    want = psi_norm_of_constant(abs(1e308 + 1e308j), 7.0)
+    assert math.isclose(luxemburg_norm(f, OrliczFunction("exp_type", 7.0)), want, rel_tol=1e-9)
+
+
+def test_grid_norms_past_float64_raise():
+    # three coefficients of 1e308 overflowed the unscaled grid
+    huge = TrigPolynomial({0: 1e308, 1: 1e308, 2: 1e308})
+    for family in FAMILIES:
+        with pytest.raises(DomainError, match="float64"):
+            luxemburg_norm(huge, OrliczFunction(family, 2.0))
+    with pytest.raises(DomainError, match="float64"):
+        log_type_functional(huge, 2.0)
+
+
 def _bisection_oracle(v, phi):
     """The Luxemburg bisection that evaluates every midpoint, as
     _luxemburg_of_samples computed it before its root search: (value,

@@ -11,6 +11,7 @@ import pytest
 
 from thinset_lab import (
     DomainError,
+    orlicz,
     ResourceLimitError,
     TrigPolynomial,
     default_grid_size,
@@ -225,16 +226,47 @@ def test_evaluate_grid_direct_matches_fft_on_random_polys():
     for _ in range(100):
         f = _random_poly(rng, max_abs_freq=512)
         M = 2048
-        # every frequency fits the grid, so this is the FFT path
+        # every frequency fits the grid, and at most 12 terms on 2^11 points
+        # take the twiddle product
         a = evaluate_grid(f, M)
         assert np.max(np.abs(a - direct_values(f, M))) < 1e-9
 
 
 def test_evaluate_grid_fft_requires_fitting_frequencies():
-    # 100 lies outside [-32, 32) and aliases onto residue 36; the scatter by
-    # residue still gives f's values on the grid
+    # 100 lies outside [-32, 32) and aliases onto residue 36; placing each
+    # term by its residue still gives f's values on the grid
     f = TrigPolynomial({100: 1.0, -3: 2.0 - 1.0j})
     assert np.max(np.abs(evaluate_grid(f, 64) - direct_values(f, 64))) < 1e-12
+
+
+def _reduced(f, M):
+    """f with each frequency replaced by its residue mod M, aliased terms summed:
+    the same values on the M-point grid, with frequencies small enough that
+    direct_values' k * g stays exact."""
+    terms: dict = {}
+    for g, c in zip(f.freqs.tolist(), f.coeffs.tolist()):
+        terms[g % M] = terms.get(g % M, 0.0) + c
+    return TrigPolynomial(terms)
+
+
+@pytest.mark.parametrize(
+    "M, n, kernel",
+    [(1024, 40, "product"), (2**16, 3, "product"), (1000, 3, "fft"), (1024, 41, "fft"), (3 * 2**10, 8, "fft")],
+)
+def test_evaluate_grid_takes_one_kernel_rule(monkeypatch, M, n, kernel):
+    # the product on a power-of-two grid with n <= 4*log2(M) terms, the FFT
+    # otherwise; either way the values match a termwise sum, frequencies
+    # near +-2^61 included
+    calls = []
+    for name in ("_product_values", "_fft_values"):
+        real = getattr(trigpoly, name)
+        monkeypatch.setattr(trigpoly, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    rng = np.random.default_rng(M + n)
+    freqs = rng.choice(np.arange(-4 * M, 4 * M), size=n - 2, replace=False).tolist() + [2**61 - 5, 3 - 2**61]
+    f = TrigPolynomial(zip(freqs, (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()))
+    values = evaluate_grid(f, M)
+    assert calls == [f"_{kernel}_values"]
+    assert np.abs(values - direct_values(_reduced(f, M), M)).max() <= 1e-12 * np.abs(f.coeffs).sum()
 
 
 def test_evaluate_grid_domain():
@@ -604,6 +636,36 @@ def test_lq_function_norm_parseval():
         M = 4 * (f.degree + 1)
         val = lq_function_norm(f, 2.0, M=M)
         assert abs(val**2 - fq_norm(f, 2.0) ** 2) < 1e-9
+
+
+@pytest.mark.parametrize("e", [-1000, -300, 500, 1015])
+def test_grid_norms_scale_by_a_power_of_two_bit_for_bit(e):
+    # the quadratures run on f scaled by the power of two that brings its
+    # largest |c| into [1, 2), so a polynomial and its 2^e multiple give the
+    # same bits up to 2^e, far out of the range where |f|^q or |f|^2 fit
+    rng = np.random.default_rng(21)
+    f = _random_poly(rng, max_abs_freq=60, size_hi=9)
+    g = TrigPolynomial(zip(f.freqs.tolist(), (f.coeffs * 2.0**e).tolist()))
+    for q in (1.0, 2.0, 3.3, 4.0):
+        assert lq_function_norm(g, q) == math.ldexp(lq_function_norm(f, q), e)
+    psi = orlicz.OrliczFunction("exp_type", 2.0)
+    assert orlicz.luxemburg_norm(g, psi, M=2048) == math.ldexp(orlicz.luxemburg_norm(f, psi, M=2048), e)
+
+
+def test_lq_function_norm_of_huge_coefficients():
+    # the sup, 3e308, is past float64, but the L^2 norm sqrt(3)*1e308 is not;
+    # at q = 4 the norm is past float64 too
+    f = TrigPolynomial({0: 1e308, 1: 1e308, 2: 1e308})
+    assert math.isclose(lq_function_norm(f, 2.0), math.sqrt(3.0) * 1e308, rel_tol=1e-15)
+    with pytest.raises(DomainError, match="float64"):
+        lq_function_norm(f, 4.0)
+
+
+def test_sup_norm_rows_refuses_rows_that_are_not_finite():
+    freqs = np.array([0, 1], dtype=np.int64)
+    for bad in (math.inf, math.nan, complex(1.0, -math.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            sup_norm_rows(freqs, np.array([[1.0, 1.0], [1.0, bad]]), 1e-9)
 
 
 def test_lq_function_norm_grid_floor():
