@@ -197,6 +197,6 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
             counts = nxt
     mean_square = float((counts[1:].astype(np.float64) ** 2).mean())
     return RepresentationCounts(
-        alpha=alpha, counts=tuple(int(x) for x in counts), mean_square=mean_square
+        alpha=alpha, counts=tuple(counts.tolist()), mean_square=mean_square
     )
 

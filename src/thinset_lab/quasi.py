@@ -2,10 +2,12 @@
 
 A finite integer set B is quasi-independent when no nonzero sign vector
 theta in {-1, 0, 1}^|B| has sum theta_i gamma_i = 0.  The checker splits B
-in halves, enumerates each half's achievable signed sums exactly once
-(keeping one packed sign-vector representative per sum), and looks for a
-collision between one half's sums and the negation of the other's; zero
-sums with a nonzero representative are caught while the halves are built.
+in halves and enumerates each half's achievable signed sums one member at a
+time.  Signed sums are symmetric about 0, so each level holds only the
+nonnegative ones, sorted and distinct.  A relation inside a half shows when
+a member's negation is already a sum of the members before it; across the
+halves, B is dependent exactly when some c > 0 is a sum of both.  Every
+level is kept, and a witness is rebuilt from them only for a dependent B.
 
 q(A), the largest size of a quasi-independent subset, is computed by
 branch-and-bound over inclusion order.  An element gamma can extend the
@@ -54,15 +56,24 @@ _EXACT_SIZE_CAP = 25
 _SUM_MAGNITUDE_CAP = 1 << 62
 # below this sum |A| the signed sums of any subset fit a bitset of < 2^25 bits
 _BITSET_SUM_LIMIT = 1 << 24
-# peak bytes per new sum of one half level: concatenation, representatives
-# and np.unique's sort (measured 53); under the 2^30-byte cap a 15-element
-# half (3^15 sums) fits, a 16-element one with distinct sums does not
+# bytes charged per new signed sum of one half level, counted over the whole
+# symmetric set (3n for n sums): the level's nonnegative candidates, their
+# mask and its deduplicated copy read about 8.5, and 10.5 with the kept
+# levels (measured); 56 keeps the cap's decisions, under which a 15-element
+# half (3^15 sums) fits and a 16-element one with distinct sums does not
 _BYTES_PER_SUM = 56
-# bytes per sum a finished half keeps: an int64 sum and a uint32 representative
+# bytes charged per signed sum of a finished half: its kept levels hold 6
+# (random members) to 8 (powers of 2), and the charge takes their own bytes
+# when those are larger
 _BYTES_PER_KEPT_SUM = 12
-# peak bytes per right-half sum of one collision chunk's temporaries
-# (measured 25 to 32)
+# peak bytes charged per probe of one collision chunk's temporaries
+# (measured 17 to 25)
 _BYTES_PER_PROBE = 40
+# bytes per nonnegative candidate of a level: the candidate, its mask entry
+# and its deduplicated copy (measured 17); with the kept levels this bounds
+# a level's real peak, which 56 per signed sum already covers for halves of
+# at most 20 members
+_BYTES_PER_CANDIDATE = 17
 _COLLISION_CHUNK = 1 << 16
 
 DEFAULT_BUDGET = 2_000_000
@@ -123,46 +134,69 @@ def _check_magnitude(A: tuple) -> None:
         raise ResourceLimitError("sum of |elements| too large for exact int64 sums")
 
 
-def _signs(rep: int, size: int) -> list:
-    # rep packs base-3 digits, one per member: 1 -> +1, 2 -> -1
-    return [(0, 1, -1)[rep // 3**i % 3] for i in range(size)]
+def _holds(level, x: int) -> bool:
+    """Whether the sorted nonnegative level holds |x|, that is, x is one of its signed sums."""
+    x = abs(x)
+    i = level.searchsorted(x)
+    return i < level.size and level[i] == x
+
+
+def _kept_bytes(levels: list) -> int:
+    # the kept levels' own bytes, and no less than 12 per signed sum of the last
+    return max(_BYTES_PER_KEPT_SUM * (2 * levels[-1].size - 1), 8 * sum(level.size for level in levels))
+
+
+def _rebuild(levels: list, members: tuple, v: int) -> list:
+    """Signs over members[:k] of the representative of the sum v at the last level k.
+
+    From the top down, each member takes sign 0, then +1 (v - g), then -1
+    (v + g): the first whose remainder the level below holds, that is, the
+    first of the blocks S, S + g, S - g that holds v.
+    """
+    signs = []
+    for j in range(len(levels) - 1, 0, -1):
+        g = members[j - 1]
+        sign = next(t for t in (0, 1, -1) if _holds(levels[j - 1], v - t * g))
+        signs.append(sign)
+        v -= sign * g
+    return signs[::-1]
 
 
 def _half_sums(members: tuple, held: int = 0):
-    """All achievable signed sums of one half with one representative each.
+    """Every level of one half's nonnegative signed sums, and a zero relation if one shows.
 
-    Returns (sums sorted int64 array, base-3 packed uint32 representatives
-    aligned with it, zero_witness_rep or None).  A zero sum achievable with
-    a nonzero sign vector is detected before deduplication collapses it
-    onto the always-present empty representative.  Halves have at most 20
-    members, so representatives stay below 3^20 < 2^32.  Each level's byte
-    charge adds the held bytes that the caller keeps alive meanwhile.
+    Level j is the sorted int64 array of |v| over the signed sums v of
+    members[:j]; signed sums are symmetric about 0, so v is a sum exactly
+    when |v| is held.  Level j + 1 is the union of level j, level j + |g|
+    and |level j - |g||, sorted in place and deduplicated by one mask.
+    Returns (levels, signs): signs is None, or a nonzero sign vector over
+    members summing to 0, found at the first member g for which -g is
+    already a sum (the levels then stop below g).  Each level's byte charge
+    adds the held bytes that the caller keeps alive meanwhile.
     """
-    sums = np.zeros(1, dtype=np.int64)
-    reps = np.zeros(1, dtype=np.uint32)
+    levels = [np.zeros(1, dtype=np.int64)]
     for local, g in enumerate(members):
-        n = sums.size
-        _check_bytes(held + 3 * n * _BYTES_PER_SUM, f"half enumeration of {3 * n} signed sums")
-        step = 3**local
-        all_s = np.empty(3 * n, dtype=np.int64)
-        all_s[:n] = sums
-        np.add(sums, g, out=all_s[n : 2 * n])
-        np.subtract(sums, g, out=all_s[2 * n :])
-        # searching the plus block first fixes which witness is returned
-        zero_at = np.flatnonzero(all_s[n:] == 0)
-        if zero_at.size:
-            i = int(zero_at[0])
-            return sums, reps, int(reps[i % n]) + (step if i < n else 2 * step)
-        all_r = np.empty(3 * n, dtype=np.uint32)
-        all_r[:n] = reps
-        np.add(reps, step, out=all_r[n : 2 * n])
-        np.add(reps, 2 * step, out=all_r[2 * n :])
-        del sums, reps
-        sums, first = np.unique(all_s, return_index=True)
-        del all_s
-        reps = all_r[first]
-        del all_r, first
-    return sums, reps, None
+        sums = levels[-1]
+        m = sums.size
+        n = 2 * m - 1
+        need = max(3 * n * _BYTES_PER_SUM, _kept_bytes(levels) + 3 * m * _BYTES_PER_CANDIDATE)
+        _check_bytes(held + need, f"half enumeration of {3 * n} signed sums")
+        # g with sign +1 and the representative of -g make the relation
+        if _holds(sums, g):
+            return levels, _rebuild(levels, members, -g) + [1] + [0] * (len(members) - local - 1)
+        a = abs(g)
+        new = np.empty(3 * m, dtype=np.int64)
+        new[:m] = sums
+        np.add(sums, a, out=new[m : 2 * m])
+        np.subtract(sums, a, out=new[2 * m :])
+        np.abs(new[2 * m :], out=new[2 * m :])
+        new.sort()
+        keep = np.empty(3 * m, dtype=bool)
+        keep[0] = True
+        np.not_equal(new[1:], new[:-1], out=keep[1:])
+        levels.append(new[keep])
+        del new, keep
+    return levels, None
 
 
 def is_quasi_independent(B) -> tuple:
@@ -176,32 +210,33 @@ def is_quasi_independent(B) -> tuple:
     if len(B) > _CHECK_SIZE_CAP:
         raise ResourceLimitError(f"is_quasi_independent caps |B| at {_CHECK_SIZE_CAP}, got {len(B)}")
     _check_magnitude(B)
-    # a witness packs one base-3 digit per member of B, so a right-half
-    # rep shifts up by 3^half
     half = len(B) // 2
     left, right = B[:half], B[half:]
 
-    sums_l, reps_l, zero_rep = _half_sums(left)
-    if zero_rep is not None:
-        return (False, _signs(zero_rep, len(B)))
-    sums_r, reps_r, zero_rep = _half_sums(right, _BYTES_PER_KEPT_SUM * sums_l.size)
-    if zero_rep is not None:
-        return (False, _signs(zero_rep * 3**half, len(B)))
-    kept = _BYTES_PER_KEPT_SUM * (sums_l.size + sums_r.size)
-    chunk = min(_COLLISION_CHUNK, sums_r.size)
-    _check_bytes(kept + _BYTES_PER_PROBE * chunk, f"collision test of {sums_r.size} signed sums")
+    levels_l, signs = _half_sums(left)
+    if signs is not None:
+        return (False, signs + [0] * len(right))
+    kept_l = _kept_bytes(levels_l)
+    levels_r, signs = _half_sums(right, kept_l)
+    if signs is not None:
+        return (False, [0] * half + signs)
+    sums_l, sums_r = levels_l[-1], levels_r[-1]
+    n_r = 2 * sums_r.size - 1
+    chunk = min(_COLLISION_CHUNK, n_r)
+    _check_bytes(kept_l + _kept_bytes(levels_r) + _BYTES_PER_PROBE * chunk, f"collision test of {n_r} signed sums")
 
-    # cross collision: s in left sums, -s in right sums, s != 0 means both
-    # representatives are nonzero (zero sums with nonzero reps were caught
-    # above, so the kept rep of a zero sum is empty on both sides); chunks
-    # of the right half keep the temporaries small and stop at the first hit
-    for start in range(0, sums_r.size, chunk):
-        neg = -sums_r[start : start + chunk]
-        idx = np.minimum(np.searchsorted(sums_l, neg), sums_l.size - 1)
-        where = np.flatnonzero((sums_l[idx] == neg) & (neg != 0))
-        if where.size:
-            j = int(where[0])
-            return (False, _signs(int(reps_l[idx[j]]) + int(reps_r[start + j]) * 3**half, len(B)))
+    # B is dependent across the halves exactly when some c > 0 is a sum of
+    # both; the witness takes the largest such c, as c on the left and -c
+    # on the right.  Chunks of the right half's sums, scanned down from the
+    # top, keep the temporaries small and stop at the first hit.
+    for stop in range(sums_r.size, 1, -chunk):
+        probe = sums_r[max(1, stop - chunk) : stop]
+        idx = np.searchsorted(sums_l, probe)
+        np.minimum(idx, sums_l.size - 1, out=idx)
+        hit = np.flatnonzero(sums_l[idx] == probe)
+        if hit.size:
+            c = int(probe[hit[-1]])
+            return (False, _rebuild(levels_l, left, c) + _rebuild(levels_r, right, -c))
     return (True, None)
 
 

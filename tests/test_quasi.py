@@ -217,6 +217,66 @@ def test_pinned_witnesses_on_dependent_sets():
         assert sum(t * g for t, g in zip(witness, B)) == 0
 
 
+# (set, answer) recorded before the halves held only nonnegative sums and
+# rebuilt witnesses from their levels: seeded 24-, 26- and 28-sets below
+# 10^9 (cross collisions, where the witness takes the largest sum both
+# halves reach), mixed-sign sets, sets containing 0, and three sets whose
+# zero relation lies inside the right half, the last two with negative
+# members there
+PINNED_CHECKS = [
+    ([23322228, 61895920, 80683496, 123672156, 148932106, 208860866, 271984017,
+      300896879, 318454959, 323918824, 359050209, 394397207, 460399632, 543631687,
+      549127453, 587751411, 619934914, 682300840, 787523526, 803996016, 914069551,
+      934652094, 938180635, 997244994],
+     (False, [1, 1, 0, -1, 1, 1, 1, 1, 0, -1, 1, 1, 0, 0, -1, -1, 0, 1, -1, 0, 1, -1, 1, -1])),
+    ([38043675, 102677864, 163467983, 188292873, 221765154, 222304167, 226018163,
+      262242803, 359753821, 455815397, 477362412, 482346995, 549849036, 549856381,
+      553109789, 608819763, 634306128, 682651338, 711537758, 717275034, 751887789,
+      763705604, 766068676, 800578387, 870159835, 952291057],
+     (False, [0, -1, 0, 1, 0, 0, -1, 1, 0, 1, 1, 1, 1, 1, -1, -1, 0, 0, -1, -1, 1, -1, 1, -1, 0, 0])),
+    ([2023804, 116828827, 129151965, 208655106, 217570538, 235873905, 281047839,
+      298972524, 325101331, 363122396, 376613200, 452240674, 456476002, 481630303,
+      499212916, 523636095, 543328431, 579502703, 590384246, 606158773, 615060069,
+      626697717, 711015431, 815191289, 838558282, 872552114, 902341645, 909495093],
+     (False, [0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 1, -1, -1, 0, 1, -1, 1, 0, 0, -1, -1, 0, 0, 0, -1])),
+    ([-5680, -685, 104, 1797, 2187, 4139, 4863, 8401],
+     (True, None)),
+    ([-8718, -8672, -8387, -6338, -4175, -1867, -1476, 1479, 2227, 2294, 3361, 3946],
+     (False, [-1, -1, 0, 1, 1, 1, 1, 1, 0, 1, -1, -1])),
+    ([-6900, -4767, -2489, -1433, -716, -652, -330, 1816, 2270, 2686, 2731, 3909, 7108,
+      7679, 8559, 9226],
+     (False, [-1, -1, -1, -1, -1, 1, 0, 1, -1, 0, -1, -1, 0, 0, -1, 0])),
+    ([-9841, -9050, -9023, -8371, -7097, -5076, -1568, -1277, -1245, -322, 1815, 2422,
+      3765, 4873, 5461, 6076, 6507, 6904, 7519, 9082],
+     (False, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 1, 0])),
+    ([-804055973, 0, 484681153, 572230386, 762844470, 939699703],
+     (False, [0, 1, 0, 0, 0, 0])),
+    ([-671201915, -650210380, -288518236, -204883334, -122105048, -51952055, -22020425,
+      0, 45320232, 492834218, 726001349],
+     (False, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0])),
+    ([-917179428, -699590289, -515002815, -461406072, -314128744, -295450705,
+      -217970365, -82537023, -41590531, 0, 155653754, 407656293, 466204834, 625873514,
+      766288302, 776477769, 786470859],
+     (False, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])),
+    ([1, 3, 9, 27, 81, 1000, 2000, 3000, 7000, 11000],
+     (False, [0, 0, 0, 0, 0, -1, -1, 1, 0, 0])),
+    ([-100000, -30000, -10000, -3000, -1000, -700, -300, 400],
+     (False, [0, 0, 0, 0, -1, 1, 1, 0])),
+    ([-90000, -27000, -8100, -2430, -1000, -300, 700, 5000],
+     (False, [0, 0, 0, 0, 1, -1, 1, 0])),
+    # a member can take +1 or -1 here; the witness takes +1
+    ([1, 2, 5, 6, 9, 10, 11], (False, [1, 1, 1, 0, -1, -1, 1])),
+    ([-18, -9, -5, -4, -2, 2, 4, 8], (False, [-1, 1, 1, 1, 0, 0, 0, 0])),
+]
+
+
+def test_pinned_answers_on_large_mixed_and_zero_sets():
+    for B, answer in PINNED_CHECKS:
+        assert is_quasi_independent(B) == answer
+        if not answer[0]:
+            assert sum(t * g for t, g in zip(answer[1], B)) == 0
+
+
 def _traced_peak(fn):
     """(result or raised exception, peak traced bytes above the start)."""
     tracemalloc.start()
@@ -285,3 +345,24 @@ def test_partition_of_large_members_answers_under_a_small_cap(monkeypatch):
         assert lo <= len(B) <= hi and not seen & set(B)
         seen |= set(B)
         assert is_quasi_independent(B)[0]
+
+
+@pytest.mark.parametrize(
+    "B, independent",
+    [
+        # each level of powers of 2 is an interval, so the kept levels hold
+        # the most relative to the last
+        ([2**k for k in range(16)], True),
+        ([2**k for k in range(22)], True),
+        ([-(2**k) for k in range(10)] + [2**k for k in range(10, 24)], True),
+        (sorted(int(g) for g in np.random.default_rng(47).choice(10**9 - 1, 22, replace=False) + 1), False),
+    ],
+)
+def test_checker_peak_stays_within_its_largest_charge(monkeypatch, B, independent):
+    is_quasi_independent(B[:4])
+    charges = []
+    check = quasi._check_bytes
+    monkeypatch.setattr(quasi, "_check_bytes", lambda need, what: (charges.append(need), check(need, what)))
+    out, peak = _traced_peak(lambda: is_quasi_independent(B))
+    assert out[0] is independent
+    assert peak <= max(charges)
