@@ -17,12 +17,13 @@ sum |A| < 2^24 the search state is those sums as a Python-int bitset (one
 bit probe per membership test, three shifts per extension); above that it
 is the chosen members alone, and the checker answers each membership test
 on chosen + {gamma}, holding 3^(k/2) sums per half instead of 3^k.  The
-node budget, the checker's 40-member limit or the byte cap ends the search;
-the result keeps the largest set it certified, with exact=False.
+node budget or the byte cap ends the search; the result keeps the largest
+set it certified, with exact=False.
 
 Every array level of signed sums (a half enumeration step, the collision
 test) checks its bytes, with those of the arrays it keeps alive, against
-the package byte cap (errors._BYTES_CAP) before allocating.
+the package byte cap (errors._BYTES_CAP) before allocating; that cap is
+the only resource limit of the checker, the search and greedy extraction.
 
 partition_lemma repeatedly extracts a maximum (or greedy, above the
 exact-size cap) quasi-independent subset from the remainder, trims it
@@ -51,7 +52,6 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-_CHECK_SIZE_CAP = 40
 _EXACT_SIZE_CAP = 25
 _SUM_MAGNITUDE_CAP = 1 << 62
 # below this sum |A| the signed sums of any subset fit a bitset of < 2^25 bits
@@ -97,8 +97,8 @@ class QiSearchResult:
     """Outcome of max_quasi_independent.
 
     exact means the search ran to completion, certifying optimality; the
-    node budget, the checker's 40-member limit or the byte cap ends it
-    early, keeping the largest set it certified, with exact=False.
+    node budget or the byte cap ends it early, keeping the largest set it
+    certified, with exact=False.
     """
 
     q_value: int
@@ -203,12 +203,11 @@ def is_quasi_independent(B) -> tuple:
     """Whether B admits no nonzero {-1,0,1} relation summing to zero.
 
     Returns (True, None) or (False, theta) with theta a witness sign
-    vector aligned with sorted(B).  Size is capped at 40 and the absolute
-    sum of elements must stay below 2^62 so all arithmetic is exact int64.
+    vector aligned with sorted(B).  The absolute sum of elements must stay
+    below 2^62 so all arithmetic is exact int64; the size of B is bounded
+    by the byte cap alone, which every level charges before allocating.
     """
     B = as_freqset(B)
-    if len(B) > _CHECK_SIZE_CAP:
-        raise ResourceLimitError(f"is_quasi_independent caps |B| at {_CHECK_SIZE_CAP}, got {len(B)}")
     _check_magnitude(B)
     half = len(B) // 2
     left, right = B[:half], B[half:]
@@ -298,9 +297,9 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
     candidates are filtered monotonically and |chosen| + |candidates|
     prunes against the best known size.  Each node tests its candidates
     on a bitset of signed sums when sum |A| < 2^24 and with the checker
-    above that (see the module docstring).  The node budget, the checker's
-    40-member limit or the byte cap ends the search; the result keeps the
-    largest set it certified, with exact=False.  Exact results are optimal.
+    above that (see the module docstring).  The node budget or the byte cap
+    ends the search; the result keeps the largest set it certified, with
+    exact=False.  Exact results are optimal.
     """
     A = as_freqset(A)
     _check_magnitude(A)
@@ -327,8 +326,8 @@ def max_quasi_independent(A, budget: int = DEFAULT_BUDGET) -> QiSearchResult:
                 break
             visit(chosen + [g], sums.extend(g), addable[i + 1 :])
 
-    # past the budget no node, and past the 40-member limit no larger set, is certified; the
-    # byte cap prices distinct sums, so a set whose sums collide might still have passed it
+    # past the budget no node is certified; the byte cap prices distinct sums,
+    # so a set whose sums collide might still have passed it
     try:
         visit([], _empty_sums(A), order)
         exact = True
@@ -363,12 +362,13 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     subset of the remainder (exact when the remainder has at most 25
     elements, greedy above that), trim it to at most floor(c |A|^eps)
     elements, and stop once the union covers at least |A|/2.  Mode
-    "budget" marks a search that the node budget, the checker's 40-member
-    limit or the byte cap ended early.  Every returned subset has size in
-    [c/2 |A|^eps, c |A|^eps]; a smaller extraction means A violates the
-    size hypothesis at these (c, epsilon) and raises ExtractionError
-    carrying the offending remainder.  Like the checker and the search, it
-    needs sum |A| < 2^62.
+    "budget" marks a search that the node budget or the byte cap ended
+    early.  Every returned subset has size in [c/2 |A|^eps, c |A|^eps]; a
+    smaller extraction means A violates the size hypothesis at these
+    (c, epsilon) and raises ExtractionError carrying the offending
+    remainder.  A floor above the most members a quasi-independent subset
+    of A can have raises it before any extraction, with remainder A.  Like
+    the checker and the search, it needs sum |A| < 2^62.
     """
     A = as_freqset(A)
     _check_magnitude(A)
@@ -384,6 +384,17 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
         raise DomainError(f"need finite c*|A|^epsilon >= 2, got {hi_real}")
     lo = hi_real / 2.0
     hi = math.floor(hi_real)
+    # two equal subset sums of the moduli would differ by a relation, so a
+    # quasi-independent subset of k members has 2^k <= k max|A| + 1
+    top = max(map(abs, A), default=0)
+    k_max = 0
+    while 2 ** (k_max + 1) <= (k_max + 1) * top + 1:
+        k_max += 1
+    if A and lo > k_max:
+        raise ExtractionError(
+            f"window floor {lo} above {k_max}, the most members a quasi-independent subset can have",
+            remainder=A,
+        )
 
     remainder = list(A)
     subsets: list = []

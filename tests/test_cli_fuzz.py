@@ -2,8 +2,9 @@
 
 Values come from a hostile pool (zeros, the smallest subnormal, 1e+-300,
 1e308, nan, inf, 2^63, 10^20 and frequencies near +-2^61) mixed with a few
-ordinary ones, so that some cases get past the input checks.  Every case
-must exit 0 or 2 (``run`` may also exit 1, a failed check) within
+ordinary ones, so that some cases get past the input checks; ``qis check``
+also draws sets of 41 to 61 members, which only the byte cap bounds.  Every
+case must exit 0 or 2 (``run`` may also exit 1, a failed check) within
 SECONDS_PER_CASE, raise no warning, report an exit 2 with exactly one
 ``error:`` line on stderr, and on exit 0 print JSON whose computed values
 are all finite; an option's echoed value, such as ``"q": Infinity`` under
@@ -57,6 +58,20 @@ def _intset(rng):
     return json.dumps(sorted({_int(rng) for _ in range(rng.randint(0, 6))}))
 
 
+def _wide_intset(rng):
+    """41 to 61 members: a run from a drawn start, powers of 2, or random members below 2^56."""
+    n = rng.randint(41, 61)
+    # a run answers at once, and the other kinds spend 0.2-0.6 s in the
+    # checker, so runs are drawn half the time
+    kind = rng.choice(["run", "run", "powers", "random"])
+    if kind == "run":
+        start = _int(rng)
+        return json.dumps(list(range(start, start + n)))
+    if kind == "powers":
+        return json.dumps([2**k for k in range(n)])
+    return json.dumps(sorted(rng.sample(range(1, 2**56), n)))
+
+
 def _opts(rng, **kinds):
     """--name=value for each option, kept with probability 1/2 unless its kind is upper case."""
     out = []
@@ -86,7 +101,11 @@ def _case(rng, tmp_path):
     if verb == "qis":
         kind = rng.choice(["check", "max", "partition"])
         opts = {"check": {}, "max": dict(budget="i"), "partition": dict(c="F", epsilon="F", budget="i")}[kind]
-        return ["qis", kind, "-", *_opts(rng, **opts)], _intset(rng)
+        # a third of the checks take a wide set, which keeps the fuzz near
+        # 4 s; only checks do, as a search on 45 powers of 2 takes about 9 s,
+        # over SECONDS_PER_CASE
+        members = _wide_intset(rng) if kind == "check" and rng.random() < 1 / 3 else _intset(rng)
+        return ["qis", kind, "-", *_opts(rng, **opts)], members
     if verb == "generate":
         opts = _opts(rng, limit="I", base="i", d="i", density="f", seed="i")
         return ["sets", "generate", f"--kind={rng.choice(GENERATOR_KINDS)}", *opts], ""

@@ -1,6 +1,8 @@
 """Quasi-independence: checker, maximum search, partitions, comparators."""
 
 import math
+import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -74,10 +76,23 @@ def test_witness_is_a_valid_relation():
 
 
 def test_checker_resource_caps():
-    with pytest.raises(ResourceLimitError):
-        is_quasi_independent(list(range(1, 43)))
+    # no count limit: the byte cap alone bounds the size of B
+    A = list(range(1, 43))
+    ok, witness = is_quasi_independent(A)
+    assert not ok and any(witness) and sum(t * g for t, g in zip(witness, A)) == 0
+    assert is_quasi_independent([2**k for k in range(41)]) == (True, None)
     with pytest.raises(ResourceLimitError):
         is_quasi_independent([(1 << 61) + 1, 1 << 61])
+
+
+def test_checker_on_many_random_members_stops_at_the_byte_cap():
+    # 61 members with distinct signed sums: the 30-member left half is
+    # refused before it allocates its 16th level (3^16 sums)
+    B = random.Random(61).sample(range(1, 2**56), 61)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="byte cap"):
+        is_quasi_independent(B)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_max_quasi_independent_known_values():
@@ -148,6 +163,17 @@ def test_partition_lemma_infeasible_window_raises():
     with pytest.raises(ExtractionError) as err:
         partition_lemma(A, 1.0, 0.9)
     assert err.value.remainder is not None
+
+
+def test_partition_lemma_window_above_the_subset_sum_bound_raises_at_once():
+    # a quasi-independent subset of k members below 10^12 has
+    # 2^k <= k 10^12 + 1, so k <= 45, far under the window floor 99.4
+    A = random.Random(1).sample(range(1, 10**12), 400)
+    start = time.perf_counter()
+    with pytest.raises(ExtractionError, match="45") as err:
+        partition_lemma(A, 3.0, 0.7)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.remainder == tuple(sorted(A))
 
 
 def test_partition_lemma_domain():
@@ -311,15 +337,6 @@ def test_signed_sum_byte_cap_raises_before_allocating(monkeypatch):
         res, peak = _traced_peak(lambda: max_quasi_independent(A))
         assert (res.q_value, res.exact, res.nodes_explored) == (16, False, 17)
         assert peak <= cap and is_quasi_independent(res.witness)[0]
-
-
-def test_search_stops_at_the_checker_size_limit(monkeypatch):
-    # the 13th member needs a 13-member check, which the lowered limit
-    # refuses, so the search ends on its first descent
-    monkeypatch.setattr(quasi, "_CHECK_SIZE_CAP", 12)
-    res = max_quasi_independent([2**k for k in range(1, 31)], budget=1000)
-    assert (res.q_value, res.exact, res.nodes_explored) == (12, False, 13)
-    assert res.witness == tuple(2**k for k in range(19, 31))
 
 
 def test_lacunary_search_past_the_bitset_is_exact(monkeypatch):
