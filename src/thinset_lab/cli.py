@@ -58,10 +58,6 @@ def _load_json(path: str | None):
         raise DomainError(f"{path or 'stdin'} is not valid JSON: {exc}") from exc
 
 
-def _load_poly(path: str | None) -> TrigPolynomial:
-    return TrigPolynomial.from_json_obj(_load_json(path))
-
-
 def _load_intset(path: str | None) -> tuple:
     obj = _load_json(path)
     if not isinstance(obj, list):
@@ -191,7 +187,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    f = _load_poly(args.file)
+    f = TrigPolynomial.from_json_obj(_load_json(args.file))
     if args.norm_kind == "sup":
         _emit({"sup_norm": sup_norm(f, rel_tol=args.rel_tol), "rel_tol": args.rel_tol})
     elif args.norm_kind == "fq":
@@ -232,8 +228,7 @@ def _cmd_qis(args) -> int:
     elif args.qis_kind == "max":
         _emit(asdict(max_quasi_independent(A, budget=args.budget)))
     elif args.qis_kind == "partition":
-        res = partition_lemma(A, args.c, args.epsilon, budget=args.budget)
-        _emit(res.to_json_obj())
+        _emit(asdict(partition_lemma(A, args.c, args.epsilon, budget=args.budget)))
     return 0
 
 

@@ -11,6 +11,7 @@ shift-and-add in exact int64.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -87,8 +88,8 @@ def generate(
         if dd > len(pows):
             raise DomainError(f"need d <= {len(pows)}, the number of powers of {b} in [1, {N}], got d = {dd}")
         _check_bytes(math.comb(len(pows), dd) * _BYTES_PER_CANDIDATE, f"sums of {dd} of {len(pows)} powers")
-        vals = {sum(tup) for tup in combinations(pows, dd)}
-        return tuple(sorted(v for v in vals if v <= N))
+        # sums of distinct powers are distinct: their base-b digits are 0 and 1
+        return tuple(sorted(v for v in map(sum, combinations(pows, dd)) if v <= N))
     if kind == "interval":
         return tuple(range(1, N + 1))
     if kind == "random":
@@ -110,10 +111,8 @@ def mesh_counts(freqs, checkpoints) -> list:
     for a, b in zip(pts, pts[1:]):
         if b <= a:
             raise DomainError("checkpoints must be strictly increasing")
-    if freqs and freqs[-1] >= 1 << 63:
-        raise DomainError(f"set member {freqs[-1]} is outside the signed 64-bit range")
-    arr = np.asarray([g for g in freqs if g >= 1], dtype=np.int64)
-    return [int(np.searchsorted(arr, N, side="right")) for N in pts]
+    skip = bisect_right(freqs, 0)
+    return [max(0, bisect_right(freqs, N) - skip) for N in pts]
 
 
 def fit_mesh_exponent(counts, checkpoints, model: str) -> tuple:
@@ -150,8 +149,8 @@ def fit_mesh_exponent(counts, checkpoints, model: str) -> tuple:
 
 
 def _charge_counts(n: int) -> None:
-    """Charge r_alpha's counts array up to n and the next round's, 16 bytes per entry."""
-    _check_bytes(16 * (n + 1), f"representation counts of length {n + 1}")
+    """Charge r_alpha's counts array up to n and the next round's, 16 bytes per entry and 4096 for the rest."""
+    _check_bytes(16 * (n + 1) + 4096, f"representation counts of length {n + 1}")
 
 
 def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
@@ -165,8 +164,9 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
     current counts shifted by every member g, costing at most
     O(alpha * k * n) exact int64 additions; a one-member set {g} takes the
     closed form counts[alpha*g] = 1 instead.  The array and the next round's
-    are charged 16 * (n + 1) bytes against the byte cap, which admits n up
-    to 2^26 - 1.
+    are charged 16 * (n + 1) + 4096 bytes against the byte cap, which admits
+    n up to 2^26 - 257; the returned tuple is charged the same, plus 32
+    bytes per count above 256, before it is built.
     """
     freqs = as_freqset(freqs)
     alpha = int(alpha)
@@ -195,8 +195,13 @@ def r_alpha(freqs, alpha: int, n: int) -> RepresentationCounts:
                     break
                 nxt[g:] += counts[: n + 1 - g]
             counts = nxt
-    mean_square = float((counts[1:].astype(np.float64) ** 2).mean())
-    return RepresentationCounts(
-        alpha=alpha, counts=tuple(counts.tolist()), mean_square=mean_square
-    )
+        del nxt  # it aliases counts, whose array tolist() below frees
+    sq = counts[1:].astype(np.float64)
+    mean_square = float(np.square(sq, out=sq).mean())
+    del sq
+    # counts above 256 become int objects of their own (32 bytes each)
+    big = int(np.count_nonzero(counts > 256))
+    _check_bytes(16 * (n + 1) + 4096 + 32 * big, f"{n + 1} representation counts, {big} of them above 256")
+    counts = counts.tolist()
+    return RepresentationCounts(alpha=alpha, counts=tuple(counts), mean_square=mean_square)
 

@@ -374,8 +374,6 @@ def partition_lemma(A, c: float, epsilon: float, budget: int = DEFAULT_BUDGET) -
     _check_magnitude(A)
     c = float(c)
     epsilon = float(epsilon)
-    if A == (0,):
-        raise DomainError("partition_lemma is undefined for A = {0}")
     try:
         hi_real = c * len(A) ** epsilon
     except (OverflowError, ZeroDivisionError):  # a huge power, or 0 to a negative one

@@ -416,8 +416,7 @@ def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> tuple:
     """(|f| 2^-e on M grid points, e), default_grid_size(degree) points when M is None.
 
     e is the power of two that brings the largest |c| into [1, 2)
-    (_pow2_scaled), so no grid value overflows; f is evaluated as given
-    when e = 0, as for 0-1 indicators.
+    (_pow2_scaled), so no grid value overflows.
     An explicit M must be at least floor*(degree+1).
     """
     if M is None:
@@ -429,9 +428,8 @@ def _grid_abs(f: TrigPolynomial, M: int | None, floor: int) -> tuple:
                 f"need M >= {floor}*(degree+1) = {floor * (f.degree + 1)}, got {M}"
             )
     scaled, e = _pow2_scaled(f.coeffs[None, :])
-    if e[0]:
-        f = TrigPolynomial(f)  # a new copy: the same spectrum, coefficients times 2^-e
-        f._coeffs = scaled[0]
+    f = TrigPolynomial(f)  # a new copy: the same spectrum, coefficients times 2^-e
+    f._coeffs = scaled[0]
     return np.abs(evaluate_grid(f, M)), int(e[0])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import REDUCED_CONFIGS
-from thinset_lab import EXPERIMENT_IDS, default_config, errors
+from thinset_lab import EXPERIMENT_IDS, default_config, errors, generate, partition_lemma
 from thinset_lab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -171,6 +171,35 @@ def test_qis_partition(capsys, tmp_path):
     assert obj["covered"] == sum(len(b) for b in obj["subsets"])
     assert obj["covered"] >= 7
     assert set(obj["modes"]) <= {"exact", "greedy", "budget"}
+
+
+def test_qis_partition_prints_the_result_fields(capsys, monkeypatch):
+    # E8-like sets: powers of 2, their multiples, and sums of two powers of 3
+    sets = [
+        [2**k for k in range(1, 17)],
+        [3 * 2**k for k in range(1, 15)],
+        list(generate("sums_of_powers", 3**8, base=3, d=2)),
+    ]
+    for A in sets:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(A)))
+        code, out, err = run_cli(capsys, "qis", "partition", "-", "--c", "1", "--epsilon", "0.5")
+        want = partition_lemma(A, 1.0, 0.5).to_json_obj()
+        assert (code, err) == (0, "")
+        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def test_qis_partition_of_zero_exits_2(capsys, monkeypatch):
+    for c, needle in [("1", "finite"), ("2", "above 0")]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[0]"))
+        err = assert_one_line_exit_2(capsys, "qis", "partition", "-", "--c", c, "--epsilon", "0.5")
+        assert needle in err
+
+
+def test_sets_mesh_counts_members_past_64_bits(capsys, monkeypatch):
+    pts = [1, 10**20, 2**70]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([10**20, 2**70])))
+    obj = run_json(capsys, "sets", "mesh", "-", "--checkpoints", ",".join(map(str, pts)))
+    assert obj == {"checkpoints": pts, "counts": [0, 1, 2]}
 
 
 def test_qis_rejects_non_integer_input(capsys, tmp_path):
@@ -480,7 +509,6 @@ _PAST_FLOAT64 = "[[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 0]]"
 @pytest.mark.parametrize(
     "argv, stdin, needle",
     [
-        (["sets", "mesh", "-", "--checkpoints", "1,2,3,4"], "[1e20]", "64-bit"),
         (["qis", "partition", "-", "--epsilon", "1e308", "--c", "1"], "[1, 2, 4]", "finite"),
         (["sets", "generate", "--kind", "sums_of_powers", "--d", str(10**20), "--limit", "100"], "", "need d <= 4"),
         (["sets", "generate", "--kind", "sums_of_powers", "--base", "2", "--d", "30", "--limit", str(10**18)], "", "cap"),
@@ -503,7 +531,6 @@ _PAST_FLOAT64 = "[[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 0]]"
         (["norm", "stable", "-", "--p", "1.5", "--trials", str(10**20)], "[]", "cap"),
     ],
     ids=[
-        "mesh_huge_member",
         "partition_huge_epsilon",
         "sums_of_powers_huge_d",
         "sums_of_powers_over_cap",

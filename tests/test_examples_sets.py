@@ -4,6 +4,7 @@ import json
 import math
 import time
 from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_generate_sums_of_powers():
     assert generate("sums_of_powers", 100, base=3, d=2) == (12, 30, 36, 84, 90)
     # d = 1 degenerates to the powers themselves
     assert generate("sums_of_powers", 100, base=3, d=1) == (3, 9, 27, 81)
+    # a set of the sums drops none, since sums of distinct powers of b are distinct
+    for b in range(2, 6):
+        N = b**8 + b**5 + 1  # not a power of b, and below some sums of the powers up to b^8
+        pows = [b**k for k in range(1, 9)]
+        for d in range(1, 5):
+            want = sorted({sum(c) for c in combinations(pows, d)} & set(range(1, N + 1)))
+            assert generate("sums_of_powers", N, base=b, d=d) == tuple(want), (b, d)
 
 
 def test_generate_interval_and_random():
@@ -68,6 +76,10 @@ def test_mesh_counts_matches_brute_force():
     assert mesh_counts(generate("squares", 10**6), [10**2, 10**4, 10**6]) == [10, 100, 1000]
     with pytest.raises(DomainError):
         mesh_counts(A, [10, 10])
+    # members of any size
+    assert mesh_counts([10**20, 2**70], [1, 10**20, 2**70]) == [0, 1, 2]
+    # members and checkpoints below 1 count nothing
+    assert mesh_counts([-(2**70), 0, 3, 2**64], [-(2**80), 0, 3, 2**64]) == [0, 0, 1, 2]
 
 
 def test_fit_mesh_exponent_exact_power_law():

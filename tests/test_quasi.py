@@ -181,6 +181,10 @@ def test_partition_lemma_domain():
         partition_lemma([0], 1.0, 0.5)
     with pytest.raises(DomainError):
         partition_lemma([1, 2], 0.5, 0.5)
+    # {0} has no quasi-independent member, so k_max = 0 is below any window floor
+    with pytest.raises(ExtractionError, match="above 0") as err:
+        partition_lemma([0], 2.0, 0.5)
+    assert err.value.remainder == (0,)
 
 
 def _signed_sets(rng, count, size_hi, bound):
